@@ -98,7 +98,7 @@ def bench_montecarlo(seeds: int, repeats: int) -> Dict:
         engine = MonteCarloEngine(platform, NOISE, seeds)
         policy = BaselinePolicy(platform.config_space)
         t0 = time.perf_counter()
-        run = engine.rollout(app, policy)
+        run, = engine.rollout(app, [policy])
         return run, time.perf_counter() - t0
 
     first, t_first = rollout()

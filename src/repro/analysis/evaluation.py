@@ -337,7 +337,8 @@ class EvaluationHarness:
         def evaluate_app(application: Application):
             baseline = baseline_factory()
             policies = [factory() for factory in policy_factories]
-            references = [None] * (1 + len(policies))
+            lane_policies = (baseline, *policies)
+            references = None
             if batched:
                 from repro.runtime.session import (
                     BatchSessionRunner, SessionSpec,
@@ -345,21 +346,20 @@ class EvaluationHarness:
                 session_runner = BatchSessionRunner(self._platform)
                 references = session_runner.run_sessions([
                     SessionSpec(application=application, policy=policy)
-                    for policy in (baseline, *policies)
+                    for policy in lane_policies
                 ])
-            base_run = engine.rollout(application, baseline,
-                                      reference=references[0])
-            comps: List[MonteCarloComparison] = []
-            for policy, reference in zip(policies, references[1:]):
-                cand_run = engine.rollout(application, policy,
-                                          reference=reference)
-                comps.append(MonteCarloComparison(
+            base_run, *cand_runs = engine.rollout(
+                application, lane_policies, references=references
+            )
+            return [
+                MonteCarloComparison(
                     application=application.name,
                     policy=cand_run.policy,
                     baseline=base_run,
                     candidate=cand_run,
-                ))
-            return comps
+                )
+                for cand_run in cand_runs
+            ]
 
         outcomes = fan_out(evaluate_app, applications, jobs=jobs)
         comparisons: List[MonteCarloComparison] = []

@@ -76,6 +76,13 @@ class ExperimentContext:
     @property
     def training(self) -> TrainingReport:
         """The Section 4 predictor-training pipeline output (cached)."""
+        # Lock-free once built: policy factories read this from fan-out
+        # worker threads while the thread that fanned out may still hold
+        # the build lock (the evaluation build does), and the report is
+        # published whole, after training finished.
+        training = self._training
+        if training is not None:
+            return training
         with self._build_lock:
             if self._training is None:
                 self._training = train_predictors(
@@ -130,7 +137,9 @@ class ExperimentContext:
             harness = EvaluationHarness(self._platform, self.baseline_policy())
             if self._jobs > 1:
                 # Train before fanning out: the policy factories run inside
-                # worker threads and must all see the one shared report.
+                # worker threads, must all see the one shared report, and
+                # must find it built — this thread holds the build lock
+                # until the fan-out returns.
                 _ = self.training
                 self._summary = harness.evaluate_parallel(
                     self.applications,

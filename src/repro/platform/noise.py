@@ -16,6 +16,15 @@ vector. The same launch therefore always sees the same multiplier — under
 any execution order, interleaving, thread count, or batch/scalar split —
 and scalar and batched noise are bitwise identical by construction.
 
+Every caller derives streams through :func:`derive_block`: the platform's
+:class:`LaunchKeyedNoise` asks for a block of one stream, the Monte Carlo
+engine for every ``(spec, iteration)`` of an application times every
+trial seed. The block's Philox keys come from :func:`philox_keys`, a
+vectorized re-implementation of ``SeedSequence``'s fixed mixing hash
+(bitwise equal to ``SeedSequence(row).generate_state(2, np.uint64)``, the
+key ``Philox(SeedSequence(row))`` uses), and the draws from one shared
+Philox generator re-keyed per stream by assigning its state.
+
 Multipliers are clamped at :data:`NOISE_FLOOR`: a Gaussian draw can push
 ``1 + draw`` arbitrarily close to (or below) zero, and a non-positive
 launch time breaks every downstream metric (energy, ED², performance).
@@ -27,10 +36,11 @@ studies can see when the tail is being truncated.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,7 +50,20 @@ from repro.perf.kernelspec import KernelSpec
 #: than 20x faster than the model time, and never non-positive.
 NOISE_FLOOR = 0.05
 
+# ``np.random.SeedSequence``'s mixing constants (numpy/random/
+# bit_generator.pyx; the stream is pinned by NEP 19).
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
 
+
+@functools.lru_cache(maxsize=1024)
 def spec_entropy(spec: KernelSpec) -> int:
     """A stable 128-bit integer key of a kernel spec's *values*.
 
@@ -48,6 +71,8 @@ def spec_entropy(spec: KernelSpec) -> int:
     so it is reproducible across processes and Python hash randomization
     (unlike ``hash(spec)``), and any changed characteristic — including a
     phase-evolved copy of the same kernel — keys a different noise stream.
+    Memoized per spec: an evaluation keys thousands of streams from a few
+    dozen specs.
     """
     payload = "|".join(
         f"{field.name}={getattr(spec, field.name)!r}"
@@ -55,6 +80,148 @@ def spec_entropy(spec: KernelSpec) -> int:
     )
     digest = hashlib.blake2b(payload.encode("utf-8"), digest_size=16).digest()
     return int.from_bytes(digest, "little")
+
+
+@functools.lru_cache(maxsize=4096)
+def _words(value: int) -> Tuple[int, ...]:
+    """``value`` as little-endian uint32 words, as ``SeedSequence`` splits
+    an entropy integer (zero is one word)."""
+    if value < 0:
+        raise ValueError(f"noise key values must be non-negative, got {value}")
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return tuple(words)
+
+
+def _hash_constants(init: int, mult: int
+                    ) -> Iterator[Tuple[np.uint32, np.uint32]]:
+    """SeedSequence's running hash constant, as the ``(xor, multiply)``
+    pair each successive hashmix call uses."""
+    value = init
+    while True:
+        following = (value * mult) & _MASK32
+        yield np.uint32(value), np.uint32(following)
+        value = following
+
+
+def _hashmix(value: np.ndarray,
+             constants: Iterator[Tuple[np.uint32, np.uint32]]) -> np.ndarray:
+    xor, multiply = next(constants)
+    value = (value ^ xor) * multiply
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> _XSHIFT)
+
+
+def philox_keys(rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """The Philox keys of many ``SeedSequence`` entropy rows at once.
+
+    Row ``i`` of the ``(len(rows), 2)`` uint64 result is bitwise equal to
+    ``np.random.SeedSequence(list(rows[i])).generate_state(2, np.uint64)``
+    — the key ``np.random.Philox(SeedSequence(row))`` runs under. The
+    hash is evaluated column-wise over uint32 arrays; rows of different
+    word lengths share a pass, rows that ran out of words masked out of
+    the tail mixing.
+
+    Raises:
+        ValueError: if any entropy value is negative.
+    """
+    words = [sum(map(_words, row), ()) for row in rows]
+    if not words:
+        return np.empty((0, 2), dtype=np.uint64)
+    width = max(_POOL_SIZE, max(map(len, words)))
+    lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
+    columns = np.ascontiguousarray(np.array(
+        [w + (0,) * (width - len(w)) for w in words], dtype=np.uint32
+    ).T)
+
+    constants = _hash_constants(_INIT_A, _MULT_A)
+    # Short rows pad with zero words, exactly as the pool fill hashes 0.
+    pool = [_hashmix(columns[i], constants) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = _mix(pool[i_dst],
+                                   _hashmix(pool[i_src], constants))
+    for i_src in range(_POOL_SIZE, width):
+        live = lengths > i_src
+        for i_dst in range(_POOL_SIZE):
+            mixed = _mix(pool[i_dst], _hashmix(columns[i_src], constants))
+            pool[i_dst] = np.where(live, mixed, pool[i_dst])
+
+    constants = _hash_constants(_INIT_B, _MULT_B)
+    state = [_hashmix(pool[i], constants).astype(np.uint64)
+             for i in range(_POOL_SIZE)]
+    keys = np.empty((len(words), 2), dtype=np.uint64)
+    keys[:, 0] = state[0] | (state[1] << np.uint64(32))
+    keys[:, 1] = state[2] | (state[3] << np.uint64(32))
+    return keys
+
+
+_ZERO_WORDS = np.zeros(4, dtype=np.uint64)
+# One Philox generator re-keyed per stream, built on first use so that
+# importing this module never loads ``numpy.random``.
+_draw_lock = threading.Lock()
+_draw_pair: Optional[Tuple[object, object]] = None
+
+
+def _standard_normals(keys: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out[i]`` with standard normals of the Philox stream keyed
+    ``keys[i]`` at counter 0 — the draws a fresh
+    ``Generator(Philox(key=keys[i]))`` makes."""
+    global _draw_pair
+    with _draw_lock:
+        if _draw_pair is None:
+            bit_generator = np.random.Philox(0)
+            _draw_pair = (bit_generator, np.random.Generator(bit_generator))
+        bit_generator, generator = _draw_pair
+        for key, row in zip(keys, out):
+            bit_generator.state = {
+                "bit_generator": "Philox",
+                "state": {"counter": _ZERO_WORDS, "key": key},
+                "buffer": _ZERO_WORDS,
+                "buffer_pos": 4,
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            generator.standard_normal(out=row)
+
+
+def derive_block(std_fraction: float, grid_size: int, seeds: Sequence[int],
+                 keys: Sequence[Tuple[KernelSpec, int]]
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """Multipliers of every ``(spec, iteration)`` key at every seed.
+
+    Stream ``(seed, spec, iteration)`` is the normal draw vector of
+    ``Philox(SeedSequence([seed, iteration, spec_entropy(spec)]))`` with
+    standard deviation ``std_fraction``, one draw per grid position.
+
+    Returns:
+        ``(multipliers, clipped)``, each of shape
+        ``(len(keys), len(seeds), grid_size)``: ``max(NOISE_FLOOR, 1 +
+        draw)`` and the mask of draws that hit the floor.
+
+    Raises:
+        ValueError: if a seed or iteration is negative.
+    """
+    keyed = [(iteration, spec_entropy(spec)) for spec, iteration in keys]
+    rows = [(seed, iteration, entropy)
+            for iteration, entropy in keyed for seed in seeds]
+    block = np.empty((len(keys), len(seeds), grid_size))
+    _standard_normals(philox_keys(rows), block.reshape(len(rows), grid_size))
+    # Generator.normal(0, std) returns 0.0 + std * z; dropping the 0.0
+    # leaves every 1.0 + draw bitwise unchanged.
+    block *= std_fraction
+    block += 1.0
+    clipped = block < NOISE_FLOOR
+    np.maximum(block, NOISE_FLOOR, out=block)
+    return block, clipped
 
 
 class LaunchKeyedNoise:
@@ -68,24 +235,21 @@ class LaunchKeyedNoise:
         grid_size: number of configurations on the platform grid; each
             ``(seed, spec, iteration)`` stream yields one draw per grid
             position.
-        memo_size: how many per-``(spec, iteration)`` multiplier vectors
-            to keep (LRU). Memoization is a pure cache — every entry is
-            recomputable from the key — so the bound only trades CPU for
-            memory.
     """
 
-    def __init__(self, std_fraction: float, seed: int, grid_size: int,
-                 memo_size: int = 256):
+    #: Per-``(spec, iteration)`` multiplier vectors kept (LRU). A pure
+    #: cache — every entry is recomputable from its key — that serves the
+    #: batched session engine's per-step fetches of one stream.
+    MEMO_SIZE = 256
+
+    def __init__(self, std_fraction: float, seed: int, grid_size: int):
         if std_fraction <= 0:
             raise ValueError("std_fraction must be positive")
         if grid_size <= 0:
             raise ValueError("grid_size must be positive")
-        if memo_size <= 0:
-            raise ValueError("memo_size must be positive")
         self._std = std_fraction
         self._seed = seed
         self._grid_size = grid_size
-        self._memo_size = memo_size
         self._memo: "OrderedDict[Tuple[KernelSpec, int], Tuple[np.ndarray, np.ndarray]]" = OrderedDict()
         self._lock = threading.Lock()
 
@@ -105,15 +269,10 @@ class LaunchKeyedNoise:
         return self._grid_size
 
     def _derive(self, spec: KernelSpec, iteration: int) -> Tuple[np.ndarray, np.ndarray]:
-        sequence = np.random.SeedSequence(
-            [self._seed, iteration, spec_entropy(spec)]
+        multipliers, clipped = derive_block(
+            self._std, self._grid_size, (self._seed,), ((spec, iteration),)
         )
-        draws = np.random.Generator(np.random.Philox(sequence)).normal(
-            0.0, self._std, size=self._grid_size
-        )
-        raw = 1.0 + draws
-        multipliers = np.maximum(NOISE_FLOOR, raw)
-        clipped = raw < NOISE_FLOOR
+        multipliers, clipped = multipliers[0, 0], clipped[0, 0]
         multipliers.setflags(write=False)
         clipped.setflags(write=False)
         return multipliers, clipped
@@ -148,7 +307,7 @@ class LaunchKeyedNoise:
                 return entry
             entry = self._derive(spec, iteration)
             self._memo[key] = entry
-            while len(self._memo) > self._memo_size:
+            while len(self._memo) > self.MEMO_SIZE:
                 self._memo.popitem(last=False)
             return entry
 

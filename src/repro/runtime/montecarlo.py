@@ -12,9 +12,11 @@ re-walking every launch through Python. The launch-keyed noise model
    powers (served from the shared sweep cache's surfaces wherever the
    policy consults them);
 2. for every trial seed ``s``, perturb each scheduled launch's time with
-   the keyed multiplier of platform seed ``s`` — a vectorized draw per
-   ``(spec, iteration)`` group, one matrix of launch times over
-   ``(seed, launch)``;
+   the keyed multiplier of platform seed ``s`` — one matrix of launch
+   times over ``(seed, launch)``. All of an application's policies are
+   rolled out together: the union of their ``(spec, iteration)`` keys is
+   derived once, for every seed, in bounded blocks (see
+   :meth:`MonteCarloEngine.rollout`);
 3. reduce each seed's row to run metrics (time, energy, power, ED²) and
    report mean / standard deviation / 95% confidence bands.
 
@@ -33,19 +35,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.policy import PowerPolicy
 from repro.errors import AnalysisError
 from repro.platform.hd7970 import HardwarePlatform
-from repro.platform.noise import LaunchKeyedNoise
+from repro.platform.noise import derive_block
 from repro.runtime.simulator import ApplicationRunner
 from repro.workloads.application import Application
 
 #: z-score of the two-sided 95% confidence interval.
 _Z95 = 1.959963984540054
+
+#: ``(spec, iteration)`` keys derived per noise block: 64 keys x 16 seeds
+#: x a 448-point grid is about 3.7 MB of float64 multipliers.
+_BLOCK_KEYS = 64
 
 
 @dataclass(frozen=True)
@@ -199,15 +205,6 @@ class MonteCarloEngine:
         self._platform = platform
         self._noise = noise_std_fraction
         self._seeds = seeds
-        grid_size = len(platform.config_space)
-        # One keyed noise model per trial seed, shared across every
-        # application and policy this engine evaluates — the memo inside
-        # each model lets baseline and candidate reuse the same
-        # (spec, iteration) draw vectors.
-        self._models = tuple(
-            LaunchKeyedNoise(noise_std_fraction, seed, grid_size)
-            for seed in seeds
-        )
 
     @property
     def platform(self) -> HardwarePlatform:
@@ -225,74 +222,109 @@ class MonteCarloEngine:
         return self._noise
 
     def rollout(self, application: Application,
-                policy: PowerPolicy,
-                reference=None) -> MonteCarloRun:
-        """Evaluate one (application, policy) pair across all seeds.
+                policies: Sequence[PowerPolicy],
+                references: Optional[Sequence] = None
+                ) -> Tuple[MonteCarloRun, ...]:
+        """Evaluate an application under each policy across all seeds.
 
-        One deterministic reference run records the launch schedule; the
-        noise matrix over ``(seed, launch)`` is then generated from the
-        keyed models and reduced to per-seed run metrics — no per-seed
-        re-execution of the policy loop.
+        One deterministic reference run per policy records its launch
+        schedule; each seed's multipliers are then gathered into a
+        ``(seed, launch)`` matrix per policy and reduced to per-seed run
+        metrics — no per-seed re-execution of the policy loop. The noise
+        is derived once for the union of the policies' ``(spec,
+        iteration)`` keys, in blocks of at most :data:`_BLOCK_KEYS` keys
+        times every seed, and each block is dropped once every policy
+        has gathered from it.
 
         Under a traced run the whole rollout is one span (labelled by
-        application and policy), attached to whatever span was open on
-        the calling thread — typically a pipeline node or a fan-out
+        application and policies), attached to whatever span was open
+        on the calling thread — typically a pipeline node or a fan-out
         worker.
 
         Args:
             application: the workload to roll out.
-            policy: the policy whose decision trace anchors all trials.
-            reference: a precomputed deterministic
-                :class:`~repro.runtime.simulator.RunResult` of this
+            policies: the policies whose decision traces anchor the
+                trials, one :class:`MonteCarloRun` each, in order.
+            references: precomputed deterministic
+                :class:`~repro.runtime.simulator.RunResult` records of each
                 (application, policy) pair on the engine's platform —
                 the batched session engine supplies these so all
                 policies' reference runs advance in lockstep. ``None``
-                runs the scalar reference here.
+                (or a ``None`` entry) runs the scalar reference here.
         """
         from repro.telemetry.spans import ambient_telemetry
         with ambient_telemetry().span(
-                "montecarlo.rollout",
-                application=application.name, policy=policy.name):
-            return self._rollout(application, policy, reference)
+                "montecarlo.rollout", application=application.name,
+                policy=",".join(policy.name for policy in policies)):
+            return self._rollout(application, policies, references)
 
     def _rollout(self, application: Application,
-                 policy: PowerPolicy,
-                 reference=None) -> MonteCarloRun:
-        if reference is None:
-            reference = ApplicationRunner(self._platform).run(
-                application, policy
-            )
-        records = reference.trace.records
-        launches = list(application.launches())
-        if len(launches) != len(records):
+                 policies: Sequence[PowerPolicy],
+                 references: Optional[Sequence]) -> Tuple[MonteCarloRun, ...]:
+        if not policies:
+            raise AnalysisError("at least one policy is required")
+        if references is None:
+            references = [None] * len(policies)
+        if len(references) != len(policies):
             raise AnalysisError(
-                f"trace of {application.name!r} has {len(records)} launches; "
-                f"schedule expects {len(launches)}"
+                f"{len(references)} reference runs for "
+                f"{len(policies)} policies"
             )
+        launches = list(application.launches())
+        space = self._platform.config_space
+        # Per policy: reference records and, for each (spec, iteration)
+        # noise stream, the launch positions and grid indices it feeds.
+        schedules = []
+        for policy, reference in zip(policies, references):
+            if reference is None:
+                reference = ApplicationRunner(self._platform).run(
+                    application, policy
+                )
+            records = reference.trace.records
+            if len(launches) != len(records):
+                raise AnalysisError(
+                    f"trace of {application.name!r} has {len(records)} "
+                    f"launches; schedule expects {len(launches)}"
+                )
+            groups: Dict[Tuple, Tuple[List[int], List[int]]] = {}
+            for j, ((iteration, _kernel, spec), record) in enumerate(
+                    zip(launches, records)):
+                positions, grid_indices = groups.setdefault(
+                    (spec, iteration), ([], [])
+                )
+                positions.append(j)
+                grid_indices.append(space.index_of(record.result.config))
+            schedules.append((records, groups))
 
+        keys = list(dict.fromkeys(
+            key for _records, groups in schedules for key in groups
+        ))
+        multipliers = [np.empty((len(self._seeds), len(records)))
+                       for records, _groups in schedules]
+        for start in range(0, len(keys), _BLOCK_KEYS):
+            chunk = keys[start:start + _BLOCK_KEYS]
+            block, _clipped = derive_block(
+                self._noise, len(space), self._seeds, chunk
+            )                                     # (key, seed, grid)
+            for k, key in enumerate(chunk):
+                draws = block[k]
+                for (_records, groups), matrix in zip(schedules,
+                                                      multipliers):
+                    group = groups.get(key)
+                    if group is not None:
+                        positions, grid_indices = group
+                        matrix[:, positions] = draws[:, grid_indices]
+
+        return tuple(
+            self._reduce(application, policy, records, matrix)
+            for policy, (records, _groups), matrix in zip(
+                policies, schedules, multipliers)
+        )
+
+    def _reduce(self, application: Application, policy: PowerPolicy,
+                records, multipliers: np.ndarray) -> MonteCarloRun:
         det_time = np.array([r.result.time for r in records])
         card_power = np.array([r.result.power.card for r in records])
-
-        # Group launches sharing a (spec, iteration) noise stream so each
-        # stream is derived once per seed and indexed per config.
-        space = self._platform.config_space
-        groups: Dict[Tuple, Tuple[List[int], List[int]]] = {}
-        for j, ((iteration, _kernel, spec), record) in enumerate(
-                zip(launches, records)):
-            positions, grid_indices = groups.setdefault(
-                (spec, iteration), ([], [])
-            )
-            positions.append(j)
-            grid_indices.append(space.index_of(record.result.config))
-
-        multipliers = np.empty((len(self._seeds), len(records)))
-        for (spec, iteration), (positions, grid_indices) in groups.items():
-            cols = np.asarray(positions, dtype=np.intp)
-            rows = np.asarray(grid_indices, dtype=np.intp)
-            for s, model in enumerate(self._models):
-                draws, _clipped = model.multipliers_for(spec, iteration)
-                multipliers[s, cols] = draws[rows]
-
         times = det_time * multipliers            # (seed, launch)
         energies = card_power * times
         total_time = times.sum(axis=1)
@@ -312,8 +344,7 @@ class MonteCarloEngine:
                 baseline: PowerPolicy,
                 candidate: PowerPolicy) -> MonteCarloComparison:
         """Paired-seed comparison of one candidate against the baseline."""
-        base_run = self.rollout(application, baseline)
-        cand_run = self.rollout(application, candidate)
+        base_run, cand_run = self.rollout(application, (baseline, candidate))
         return MonteCarloComparison(
             application=application.name,
             policy=cand_run.policy,

@@ -85,8 +85,8 @@ class TestRollout:
     def test_trials_match_scalar_noisy_runs(self, engine, apps):
         """Trial s == a full scalar harness run at platform seed s."""
         for app in apps:
-            run = engine.rollout(app, BaselinePolicy(
-                engine.platform.config_space))
+            run, = engine.rollout(app, [BaselinePolicy(
+                engine.platform.config_space)])
             for idx, seed in enumerate(engine.seeds):
                 noisy = make_hd7970_platform(noise_std_fraction=NOISE,
                                              seed=seed)
@@ -102,8 +102,8 @@ class TestRollout:
                     scalar.metrics.ed2, rel=1e-12)
 
     def test_bands_summarize_samples(self, engine, apps):
-        run = engine.rollout(apps[0], BaselinePolicy(
-            engine.platform.config_space))
+        run, = engine.rollout(apps[0], [BaselinePolicy(
+            engine.platform.config_space)])
         assert run.time.n == len(SEEDS)
         assert run.time.mean == pytest.approx(np.mean(run.time_samples))
         assert run.ed2.std > 0
@@ -111,12 +111,54 @@ class TestRollout:
             np.mean(1.0 / run.time_samples))
 
     def test_rollouts_are_reproducible(self, engine, apps):
-        a = engine.rollout(apps[0], BaselinePolicy(
-            engine.platform.config_space))
-        b = engine.rollout(apps[0], BaselinePolicy(
-            engine.platform.config_space))
+        a, = engine.rollout(apps[0], [BaselinePolicy(
+            engine.platform.config_space)])
+        b, = engine.rollout(apps[0], [BaselinePolicy(
+            engine.platform.config_space)])
         np.testing.assert_array_equal(a.time_samples, b.time_samples)
         np.testing.assert_array_equal(a.energy_samples, b.energy_samples)
+
+    def test_multi_policy_rollout_equals_single_rollouts(self, engine):
+        """Sharing the noise derive across policies changes no sample."""
+        app = get_application("Graph500")
+        platform = engine.platform
+
+        def policies():
+            space = platform.config_space
+            return [BaselinePolicy(space), OraclePolicy(platform),
+                    BaselinePolicy(space)]
+
+        together = engine.rollout(app, policies())
+        assert [run.policy for run in together] == [
+            "baseline", "oracle", "baseline"]
+        for joint, policy in zip(together, policies()):
+            alone, = engine.rollout(app, [policy])
+            for field in ("time_samples", "energy_samples",
+                          "avg_power_samples", "ed2_samples"):
+                np.testing.assert_array_equal(getattr(joint, field),
+                                              getattr(alone, field))
+
+    def test_keys_beyond_one_block(self, apps, monkeypatch):
+        """Chunked derivation equals one block holding every key."""
+        import repro.runtime.montecarlo as montecarlo
+
+        def rollout(block_keys):
+            monkeypatch.setattr(montecarlo, "_BLOCK_KEYS", block_keys)
+            engine = MonteCarloEngine(make_hd7970_platform(), NOISE, SEEDS)
+            space = engine.platform.config_space
+            return engine.rollout(apps[1], [BaselinePolicy(space),
+                                            OraclePolicy(engine.platform)])
+
+        for small, large in zip(rollout(3), rollout(10**6)):
+            np.testing.assert_array_equal(small.ed2_samples,
+                                          large.ed2_samples)
+
+    def test_reference_count_must_match(self, engine, apps):
+        policy = BaselinePolicy(engine.platform.config_space)
+        with pytest.raises(AnalysisError):
+            engine.rollout(apps[0], [policy], references=[None, None])
+        with pytest.raises(AnalysisError):
+            engine.rollout(apps[0], [])
 
 
 class TestComparison:
@@ -170,6 +212,12 @@ class TestHarness:
 
         serial = summarize(1)
         fanned = summarize(3)
+        paired = summarize(2)
+        for a, b in zip(serial.comparisons, paired.comparisons):
+            np.testing.assert_array_equal(a.candidate.ed2_samples,
+                                          b.candidate.ed2_samples)
+            np.testing.assert_array_equal(a.baseline.ed2_samples,
+                                          b.baseline.ed2_samples)
         assert serial.seeds == fanned.seeds == SEEDS
         for a, b in zip(serial.comparisons, fanned.comparisons):
             assert a.application == b.application

@@ -9,18 +9,41 @@ clamp floor and its clip accounting.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.errors import AnalysisError
 from repro.platform.hd7970 import make_hd7970_platform
-from repro.platform.noise import NOISE_FLOOR, LaunchKeyedNoise, spec_entropy
+from repro.platform.noise import (
+    NOISE_FLOOR,
+    LaunchKeyedNoise,
+    derive_block,
+    philox_keys,
+    spec_entropy,
+)
 from repro.platform.sweepcache import SweepCache
 from repro.runtime.simulator import ApplicationRunner
 from repro.workloads.registry import all_kernels, get_application
 
 SPEC = all_kernels()[0].base
 OTHER = all_kernels()[1].base
+SPECS = tuple(kernel.base for kernel in all_kernels()[:6])
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def oracle_multipliers(std, seed, spec, iteration, grid_size):
+    """The per-stream formula the batched derivation replaced."""
+    generator = np.random.Generator(np.random.Philox(np.random.SeedSequence(
+        [seed, iteration, spec_entropy(spec)]
+    )))
+    raw = 1.0 + generator.normal(0.0, std, size=grid_size)
+    return np.maximum(NOISE_FLOOR, raw), raw < NOISE_FLOOR
 
 
 class TestLaunchKeyedNoise:
@@ -65,6 +88,137 @@ class TestLaunchKeyedNoise:
         model = LaunchKeyedNoise(0.05, seed=3, grid_size=10)
         with pytest.raises(ValueError):
             model.multipliers_for(SPEC, -1)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError):
+            LaunchKeyedNoise(0.05, seed=-1, grid_size=10).multipliers_for(
+                SPEC, 0)
+
+    def test_memo_is_bounded(self):
+        model = LaunchKeyedNoise(0.05, seed=3, grid_size=4)
+        for iteration in range(LaunchKeyedNoise.MEMO_SIZE + 10):
+            model.multipliers_for(SPEC, iteration)
+        assert len(model._memo) == LaunchKeyedNoise.MEMO_SIZE
+
+
+ENTROPY_EDGES = (0, 1, 2**32 - 1, 2**32, 2**64, 2**96, 2**127,
+                 2**128 - 1)
+
+
+class TestPhiloxKeys:
+    """The vectorized keying against numpy's own ``SeedSequence``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=2**66),
+            st.integers(min_value=0, max_value=2**40),
+            st.one_of(
+                st.sampled_from(ENTROPY_EDGES),
+                # Leading-zero words: high bits only, or a short value.
+                st.integers(min_value=0, max_value=2**32 - 1).map(
+                    lambda v: v << 96),
+                st.integers(min_value=0, max_value=2**128 - 1),
+            ),
+        ),
+        min_size=1, max_size=24,
+    ))
+    def test_matches_seed_sequence(self, rows):
+        keys = philox_keys(rows)
+        assert keys.dtype == np.uint64 and keys.shape == (len(rows), 2)
+        for row, key in zip(rows, keys):
+            expected = np.random.SeedSequence(list(row)).generate_state(
+                2, np.uint64)
+            np.testing.assert_array_equal(key, expected)
+
+    def test_rows_of_mixed_word_lengths_share_a_batch(self):
+        rows = [(0, 0, 0), (2**64 + 5, 2**40, 2**127), (7, 1, 2**96),
+                (1, 2**32, 1), (2**32, 0, 2**128 - 1)]
+        for row, key in zip(rows, philox_keys(rows)):
+            np.testing.assert_array_equal(
+                key,
+                np.random.SeedSequence(list(row)).generate_state(
+                    2, np.uint64))
+
+    def test_empty_and_negative(self):
+        assert philox_keys([]).shape == (0, 2)
+        with pytest.raises(ValueError):
+            philox_keys([(0, -1, 5)])
+
+
+class TestDerivationOracle:
+    """Every derivation path equals the per-stream SeedSequence formula."""
+
+    @pytest.mark.parametrize("std", [0.05, 0.5])
+    def test_platform_model_matches_oracle(self, std):
+        clipped_any = False
+        for seed in (0, 3, 2**40):
+            model = LaunchKeyedNoise(std, seed, grid_size=448)
+            for spec in SPECS:
+                for iteration in (0, 1, 9, 2**33):
+                    multipliers, clipped = model.multipliers_for(
+                        spec, iteration)
+                    want_m, want_c = oracle_multipliers(
+                        std, seed, spec, iteration, 448)
+                    np.testing.assert_array_equal(multipliers, want_m)
+                    np.testing.assert_array_equal(clipped, want_c)
+                    clipped_any = clipped_any or bool(clipped.any())
+        # At std=0.5 the NOISE_FLOOR clamp must have fired somewhere.
+        assert clipped_any == (std == 0.5)
+
+    def test_block_matches_oracle(self):
+        seeds = (0, 1, 5, 2**64 + 1)
+        keys = [(spec, iteration) for spec in SPECS[:3]
+                for iteration in (0, 2, 2**35)]
+        multipliers, clipped = derive_block(0.5, 64, seeds, keys)
+        assert multipliers.shape == clipped.shape == (len(keys), 4, 64)
+        for k, (spec, iteration) in enumerate(keys):
+            for s, seed in enumerate(seeds):
+                want_m, want_c = oracle_multipliers(
+                    0.5, seed, spec, iteration, 64)
+                np.testing.assert_array_equal(multipliers[k, s], want_m)
+                np.testing.assert_array_equal(clipped[k, s], want_c)
+
+    def test_shared_generator_under_thread_contention(self):
+        """Concurrent derives re-key the one generator without mixing
+        streams: more threads than cores, a tiny switch interval."""
+        seeds = range(4)
+        keys = [[(spec, iteration) for iteration in range(4)]
+                for spec in SPECS]
+        serial = [derive_block(0.05, 448, seeds, key)[0] for key in keys]
+        mismatches = []
+
+        def work(i):
+            for _ in range(20):
+                got = derive_block(0.05, 448, seeds, keys[i])[0]
+                if not np.array_equal(got, serial[i]):
+                    mismatches.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,), daemon=True)
+                       for i in range(len(keys))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+
+
+def test_cli_import_does_not_load_numpy_random():
+    """The shared generator is built on first draw, not at import."""
+    probe = ("import sys, repro.cli; "
+             "print('numpy.random' in sys.modules)")
+    completed = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "False"
 
 
 class TestExecutionOrderInvariance:
