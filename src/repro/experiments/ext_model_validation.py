@@ -12,17 +12,14 @@ time deviation and the correlation of the two models' performance
 rankings across the configuration sample.
 
 The event-driven surfaces are produced by the batched lockstep engine
-(:mod:`repro.perf.eventsim_batch`) by default — one vectorized numpy
-event loop over every missing (kernel, config) lane, bitwise-identical
-to the scalar simulator. Setting :data:`EVENTSIM_BATCH_ENV` to
-``0``/``off``/``false``/``no`` (or an :class:`~repro.errors.AnalysisError`
-from the batched engine) falls back to the original scalar loop fanned
-out over worker processes; either path writes the same store records.
+(:mod:`repro.perf.eventsim_batch`): one vectorized numpy event loop over
+every missing (kernel, config) lane, bitwise-identical to the scalar
+simulator, which remains the engine's test oracle. An engine refusal
+(:class:`~repro.errors.AnalysisError`) propagates out of :func:`run`.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -32,22 +29,12 @@ from repro.analysis.report import format_table
 from repro.errors import AnalysisError
 from repro.experiments.context import ExperimentContext, default_context
 from repro.memory.controller import MemoryControllerModel
-from repro.perf.eventsim import EventDrivenModel
 from repro.perf.eventsim_batch import BatchedEventModel
 from repro.platform.store import EVENTSIM_KIND
 from repro.platform.sweepcache import shared_cache
-from repro.runtime.parallel import fan_out_processes
 from repro.sensitivity.regression import pearson
 from repro.telemetry.spans import ambient_telemetry
-from repro.units import MHZ
 from repro.workloads.registry import all_kernels
-
-#: Environment variable disabling the batched lockstep engine (set to
-#: ``0``/``off``/``false``/``no``); simulation then falls back to the
-#: scalar event loop fanned out over worker processes. The two paths
-#: produce bitwise-identical surfaces — the knob exists for debugging
-#: and for differential runs, not because results differ.
-EVENTSIM_BATCH_ENV = "REPRO_EVENTSIM_BATCH"
 
 
 @dataclass(frozen=True)
@@ -94,19 +81,15 @@ def _sample_configs(space) -> List:
     ]
 
 
-def _batch_enabled() -> bool:
-    """Whether the batched lockstep engine serves this experiment."""
-    flag = os.environ.get(EVENTSIM_BATCH_ENV, "").strip().lower()
-    return flag not in {"0", "off", "false", "no"}
-
-
 def _batch_simulate(calibration, specs, configs) -> List[np.ndarray]:
     """Batched event-driven surfaces, one float64 array per spec.
 
     All (spec, config) lanes run through one lockstep engine call; the
     telemetry span and the ``eventsim_batch_lanes_total`` counter make
     the engine's share of a reproduce run visible in
-    ``telemetry-report --metrics``.
+    ``telemetry-report --metrics``. An engine refusal
+    (:class:`~repro.errors.AnalysisError`) propagates with a note naming
+    the kernels and config count it was asked to simulate.
     """
     controller = MemoryControllerModel(
         arch=calibration.arch, timing=calibration.gddr5_timing
@@ -117,7 +100,15 @@ def _batch_simulate(calibration, specs, configs) -> List[np.ndarray]:
     telemetry = ambient_telemetry()
     with telemetry.span("eventsim.batch", kernels=len(specs),
                         configs=len(configs)):
-        results = batch_model.run_batch(specs, configs)
+        try:
+            results = batch_model.run_batch(specs, configs)
+        except AnalysisError as error:
+            if hasattr(error, "add_note"):  # Python >= 3.11
+                error.add_note(
+                    f"eventsim.batch: {len(configs)} configs x kernels "
+                    + ", ".join(spec.name for spec in specs)
+                )
+            raise
     if telemetry.enabled:
         telemetry.metrics.counter(
             "eventsim_batch_lanes_total",
@@ -129,30 +120,12 @@ def _batch_simulate(calibration, specs, configs) -> List[np.ndarray]:
     ]
 
 
-def _simulate_times(task) -> List[float]:
-    """Event-driven execution times for one kernel (worker-side).
-
-    Runs in a ``fan_out_processes`` worker, so it is a pure top-level
-    function of picklable inputs: it rebuilds the simulator stack from
-    the calibration instead of sharing the parent's instances, and leaves
-    all store traffic to the caller.
-    """
-    calibration, spec, configs = task
-    controller = MemoryControllerModel(
-        arch=calibration.arch, timing=calibration.gddr5_timing
-    )
-    event_model = EventDrivenModel(
-        calibration.arch, controller, calibration.clock_domain_model()
-    )
-    return [event_model.run(spec, config).time for config in configs]
-
-
 def _load_event_times(store, calibration, spec,
                       configs) -> Optional[np.ndarray]:
     """The persisted event-driven surface for one kernel, or None.
 
-    The simulator is deterministic and by far the most expensive stage of
-    the ``reproduce`` pipeline (one scalar Python event loop per config),
+    The simulator is deterministic and the most expensive stage of a cold
+    ``reproduce`` (every missing lane runs through the lockstep engine),
     so its validation surface is persisted in the content-addressed sweep
     store when one is attached to the shared cache: keyed by calibration,
     spec and the exact config sample, a warm process loads the surface
@@ -184,13 +157,9 @@ def run(context: ExperimentContext = None) -> ModelValidationResult:
     kernels = list(all_kernels())
     store = shared_cache().store
 
-    # Serve every kernel the store already covers, then simulate the rest.
-    # The default engine is the batched lockstep simulator: every missing
-    # (kernel, config) lane runs as one vectorized numpy event loop in
-    # this process, bitwise-identical to the scalar loop. The scalar
-    # fan-out over worker processes remains as a fallback (env knob off,
-    # or a lane the batched engine refuses); store writes always happen
-    # here in the parent, keeping both paths side-effect free.
+    # Serve every kernel the store already covers, then simulate the rest:
+    # every missing (kernel, config) lane runs through one batched
+    # lockstep engine call, and the surfaces are persisted here.
     event_driven = {}
     missing = []
     for kernel in kernels:
@@ -200,29 +169,9 @@ def run(context: ExperimentContext = None) -> ModelValidationResult:
         else:
             event_driven[kernel.name] = times
     if missing:
-        surfaces = None
-        if _batch_enabled():
-            try:
-                surfaces = _batch_simulate(
-                    calibration, [kernel.base for kernel in missing], configs
-                )
-            except AnalysisError:
-                surfaces = None
-        if surfaces is None:
-            telemetry = ambient_telemetry()
-            if telemetry.enabled:
-                telemetry.metrics.counter(
-                    "eventsim_batch_fallback_total",
-                    "event-driven runs served by the scalar fork fallback",
-                ).inc()
-            tasks = [(calibration, kernel.base, tuple(configs))
-                     for kernel in missing]
-            simulated = fan_out_processes(
-                _simulate_times, tasks, jobs=context.jobs,
-                labels=[kernel.name for kernel in missing],
-            )
-            surfaces = [np.asarray(times, dtype=np.float64)
-                        for times in simulated]
+        surfaces = _batch_simulate(
+            calibration, [kernel.base for kernel in missing], configs
+        )
         for kernel, times in zip(missing, surfaces):
             if store is not None:
                 store.save_record(

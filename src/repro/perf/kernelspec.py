@@ -113,7 +113,7 @@ class KernelSpec:
 
     def __getstate__(self):
         # String hashes are salted per process: never ship the cached
-        # hash across a pickle boundary (process fan-outs), or the copy
+        # hash across a pickle boundary (into another process), or the copy
         # would misbehave as a dict key in the receiving process.
         state = dict(self.__dict__)
         state.pop("_cached_hash", None)

@@ -18,24 +18,24 @@ invalidation is by value: stale records are simply never addressed again.
 Records are single files holding the surface arrays plus one JSON
 metadata header carrying the schema version, the digest (self-check),
 and the config-invariant scalars encoded with ``float.hex`` for bitwise
-round-trips. New records are written as a **raw npy container** (a
-magic prefix, the JSON header, then length-prefixed named ``.npy``
-members back to back) — the zip machinery of ``np.savez`` costs more
-than the payload for the small records a cold ``reproduce`` writes by
-the hundreds. Records written by older builds are ordinary ``.npz``
-zip archives; readers sniff the leading magic bytes and serve both
-formats, so a restored CI cache or an existing local store stays fully
-servable. Both spellings share the ``.npz`` filename, keeping content
-addresses and cache keys stable. Properties:
+round-trips. Records are written as a **raw npy container** (a magic
+prefix, the JSON header, then length-prefixed named ``.npy`` members
+back to back) — the zip machinery of ``np.savez`` costs more than the
+payload for the small records a cold ``reproduce`` writes by the
+hundreds. The filename keeps its historical ``.npz`` suffix, so content
+addresses and cache keys stay stable; a file at a record's path that
+does not start with the container magic (e.g. a zip archive) is an
+invalid record. Properties:
 
 * **atomic** — writes go to a unique tempfile in the store directory and
   are published with :func:`os.replace`, so concurrent ``--jobs`` workers
   and parallel CI shards never observe a torn record; racing writers of
   the same key each publish a complete record and the last one wins
   (contents are deterministic, so the duplicates are identical);
-* **self-validating** — corrupted, truncated or foreign-schema records
-  are treated as misses: the caller recomputes and rewrites, the store
-  never raises out of a read;
+* **self-validating** — corrupted, truncated, foreign-format or
+  foreign-schema records (and grid records whose arrays do not form a
+  grid) are treated as misses: the caller recomputes and rewrites, the
+  store never raises out of a read;
 * **deterministic only** — exclusively noise-free surfaces are persisted
   (the cache-then-perturb contract keeps noise keyed on read).
 
@@ -52,7 +52,6 @@ import itertools
 import json
 import os
 import threading
-import zipfile
 from pathlib import Path
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -76,9 +75,8 @@ RESULT_KIND = "result"
 
 #: Record kind of event-driven validation surfaces (one float64 ``time``
 #: array per (calibration, spec, config-sample) key; producer:
-#: :mod:`repro.experiments.ext_model_validation`). The record layout is
-#: engine-agnostic — the batched and scalar event simulators are bitwise
-#: equivalent, so surfaces written by either engine hit for both.
+#: :mod:`repro.experiments.ext_model_validation`, via the batched lockstep
+#: engine, which is bitwise equivalent to the scalar event simulator).
 EVENTSIM_KIND = "eventsim"
 
 #: Environment variable overriding the default store directory.
@@ -86,12 +84,11 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Minimum member payload worth memory-mapping; smaller members are read
 #: eagerly (a map costs a syscall and a page of address space, and tiny
-#: members fit in the buffer the zip read already filled).
+#: members fit in the buffer the header read already filled).
 MMAP_MIN_BYTES = 16 * 1024
 
-#: Leading magic of raw-container records. Zip records written by older
-#: builds start with ``PK\x03\x04`` instead; readers sniff and serve
-#: both. The trailing newline keeps accidental text-mode corruption
+#: Leading magic of raw-container records; a file without it is not a
+#: record. The trailing newline keeps accidental text-mode corruption
 #: detectable, like the npy magic it wraps.
 _RAW_MAGIC = b"\x93RPROSTORE\x01\n"
 
@@ -339,18 +336,13 @@ def batch_from_record(
     )
 
 
-# --- zero-copy (memory-mapped) record reads --------------------------------------
+# --- the raw container, eager and zero-copy (memory-mapped) reads ----------------
 #
-# ``np.load(..., mmap_mode=...)`` silently ignores the mmap request for
-# ``.npz`` archives and reads every member eagerly. But ``np.savez``
-# writes members uncompressed (``ZIP_STORED``), so each member's ``.npy``
-# payload sits contiguously in the archive file and can be mapped
-# directly: find the payload through the member's zip *local* header
-# (whose name/extra lengths are authoritative — the central directory's
-# may differ), parse the npy header there, and hand the remaining bytes
-# to :class:`numpy.memmap`. Pages then enter the process lazily from the
-# OS page cache, shared across processes, instead of being copied into
-# private heap buffers on every load.
+# Every member's ``.npy`` payload sits contiguously in the record file,
+# so a large member can be mapped directly: parse its npy header and
+# hand the bytes after it to :class:`numpy.memmap`. Pages then enter the
+# process lazily from the OS page cache, shared across processes,
+# instead of being copied into private heap buffers on every load.
 
 
 def _write_raw_record(buf, meta: Dict[str, Any],
@@ -400,7 +392,7 @@ def _iter_raw_members(fh):
 
 
 def _read_raw_record(fh) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
-    """Eagerly read one raw record; ``fh`` sits just past the magic."""
+    """Eagerly read one record; ``fh`` sits just past the magic."""
     meta = _read_raw_meta(fh)
     arrays: Dict[str, np.ndarray] = {}
     for name, member in _iter_raw_members(fh):
@@ -411,11 +403,11 @@ def _read_raw_record(fh) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
 def _read_raw_record_mmap(
     path, fh
 ) -> Tuple[Dict[str, np.ndarray], Dict[str, Any], int]:
-    """Read a raw record, memory-mapping members worth mapping.
+    """Read a record, memory-mapping members worth mapping.
 
-    Same contract as :func:`_read_record_mmap`'s zip path: large members
-    become read-only :class:`numpy.memmap` views, small ones are read
-    eagerly, and ``mapped`` counts the views served.
+    Large members become read-only :class:`numpy.memmap` views, small
+    ones are read eagerly, and ``mapped`` counts the views served.
+    ``fh`` sits just past the magic.
     """
     meta = _read_raw_meta(fh)
     arrays: Dict[str, np.ndarray] = {}
@@ -445,90 +437,27 @@ def _read_raw_record_mmap(
     return arrays, meta, mapped
 
 
-def _member_data_offset(raw, info: zipfile.ZipInfo) -> int:
-    """File offset of a stored zip member's payload, via its local header."""
-    raw.seek(info.header_offset)
-    header = raw.read(30)
-    if len(header) != 30 or header[:4] != b"PK\x03\x04":
-        raise ValueError("malformed zip local header")
-    name_len = int.from_bytes(header[26:28], "little")
-    extra_len = int.from_bytes(header[28:30], "little")
-    return info.header_offset + 30 + name_len + extra_len
-
-
-def _npy_memmap(path, raw, data_offset: int) -> np.ndarray:
-    """Map one embedded ``.npy`` payload read-only, without copying."""
-    raw.seek(data_offset)
-    version = np.lib.format.read_magic(raw)
-    if version == (1, 0):
-        shape, fortran, dtype = np.lib.format.read_array_header_1_0(raw)
-    elif version == (2, 0):
-        shape, fortran, dtype = np.lib.format.read_array_header_2_0(raw)
-    else:
-        raise ValueError(f"unsupported npy format version {version}")
-    if dtype.hasobject:
-        raise ValueError("object arrays cannot be memory-mapped")
-    return np.memmap(path, dtype=dtype, mode="r", offset=raw.tell(),
-                     shape=shape, order="F" if fortran else "C")
-
-
-def _read_record(path) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
-    """Eagerly read one record in either container format.
-
-    Sniffs the leading magic: raw-container records are parsed directly,
-    anything else is handed to :func:`numpy.load` as a legacy ``.npz``
-    zip archive. Raises on any torn, truncated or foreign layout — the
-    caller accounts that as a miss.
-    """
-    with open(path, "rb") as fh:
-        if fh.read(len(_RAW_MAGIC)) == _RAW_MAGIC:
-            return _read_raw_record(fh)
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["__meta__"][()]))
-        arrays = {name: data[name] for name in data.files
-                  if name != "__meta__"}
-    return arrays, meta
-
-
-def _read_record_mmap(
-    path,
+def _read_record(
+    path, mmap: bool,
 ) -> Tuple[Dict[str, np.ndarray], Dict[str, Any], int]:
-    """Read one record, memory-mapping large uncompressed members.
+    """Read one record, optionally memory-mapping its large members.
 
     Returns ``(arrays, meta, mapped)`` where ``mapped`` counts the
-    members served as :class:`numpy.memmap` views; small, compressed or
-    unmappable members are read eagerly like :func:`numpy.load` would.
+    members served as :class:`numpy.memmap` views. A record the mapped
+    read cannot serve (e.g. a filesystem that refuses to map) is read
+    again eagerly. Raises on a missing magic or any torn, truncated or
+    foreign layout — the caller accounts that as an invalid miss.
     """
     with open(path, "rb") as fh:
-        if fh.read(len(_RAW_MAGIC)) == _RAW_MAGIC:
-            return _read_raw_record_mmap(path, fh)
-    arrays: Dict[str, np.ndarray] = {}
-    meta: Dict[str, Any] = {}
-    mapped = 0
-    with zipfile.ZipFile(path) as archive, open(path, "rb") as raw:
-        for info in archive.infolist():
-            name = info.filename
-            if name.endswith(".npy"):
-                name = name[:-4]
-            if (name != "__meta__"
-                    and info.compress_type == zipfile.ZIP_STORED
-                    and info.file_size >= MMAP_MIN_BYTES):
-                try:
-                    arrays[name] = _npy_memmap(
-                        path, raw, _member_data_offset(raw, info)
-                    )
-                    mapped += 1
-                    continue
-                except Exception:
-                    pass  # this member reads eagerly below
-            value = np.lib.format.read_array(
-                io.BytesIO(archive.read(info)), allow_pickle=False
-            )
-            if name == "__meta__":
-                meta = json.loads(str(value[()]))
-            else:
-                arrays[name] = value
-    return arrays, meta, mapped
+        if fh.read(len(_RAW_MAGIC)) != _RAW_MAGIC:
+            raise ValueError("not a raw-container record")
+        if mmap:
+            try:
+                return _read_raw_record_mmap(path, fh)
+            except (OSError, ValueError):
+                fh.seek(len(_RAW_MAGIC))
+        arrays, meta = _read_raw_record(fh)
+    return arrays, meta, 0
 
 
 def _materialize_batch(batch: BatchRunResult) -> None:
@@ -578,6 +507,24 @@ def _attach_mmap_release(batch: BatchRunResult,
     batch.release_mmap = release_mmap
 
 
+def _as_record(arrays: Dict[str, np.ndarray],
+               meta: Dict[str, Any]
+               ) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
+    """The generic-record decoding: the arrays and metadata as read."""
+    return arrays, meta
+
+
+def _decode_batch(arrays: Dict[str, np.ndarray],
+                  meta: Dict[str, Any]) -> BatchRunResult:
+    """A grid record as a batch, with a release hook if it is mapped."""
+    batch = batch_from_record(arrays, meta)
+    mapped = [array for array in arrays.values()
+              if isinstance(array, np.memmap)]
+    if mapped:
+        _attach_mmap_release(batch, mapped)
+    return batch
+
+
 # --- the store -------------------------------------------------------------------
 
 
@@ -594,7 +541,7 @@ class StoreStats(NamedTuple):
 
 
 class SweepStore:
-    """Content-addressed ``.npz`` records under one directory.
+    """Content-addressed raw-container records under one directory.
 
     Args:
         root: the store directory (created on first use).
@@ -711,57 +658,13 @@ class SweepStore:
     def load_record(
         self, kind: str, key: Any
     ) -> Optional[Tuple[Dict[str, np.ndarray], Dict[str, Any]]]:
-        """Load one record, or None on a miss.
+        """Load one record as ``(arrays, meta)``, or None on a miss.
 
-        Missing files, torn/corrupted/truncated records, foreign schema
-        versions and digest mismatches all count as misses — the caller
-        recomputes and rewrites.
+        Missing files, torn/corrupted/truncated records, foreign formats
+        or schema versions and digest mismatches all count as misses —
+        the caller recomputes and rewrites.
         """
-        digest = content_digest((kind, key))
-        path = self._root / f"{kind}-{digest}.npz"
-        arrays: Optional[Dict[str, np.ndarray]] = None
-        meta: Dict[str, Any] = {}
-        invalid = False
-        size = 0
-        telemetry = self._tel()
-        try:
-            with telemetry.span("sweep_store.load", kind=kind):
-                size = os.stat(path).st_size
-                arrays, meta = _read_record(path)
-                if (meta.get("schema") != STORE_SCHEMA_VERSION
-                        or meta.get("kind") != kind
-                        or meta.get("digest") != digest):
-                    arrays = None
-                    raise ValueError("foreign or mismatched record")
-        except FileNotFoundError:
-            pass
-        except Exception:
-            invalid = True
-        return self._account_load(kind, arrays, meta, invalid, size)
-
-    def _account_load(self, kind, arrays, meta, invalid, size):
-        hit = arrays is not None
-        with self._lock:
-            if hit:
-                self._hits += 1
-                self._bytes_read += size
-            else:
-                self._misses += 1
-                if invalid:
-                    self._invalid += 1
-        metrics = self._tel().metrics
-        if hit:
-            metrics.counter(
-                "sweep_store_hits_total", "sweep store records served",
-            ).inc(kind=kind)
-            metrics.counter(
-                "sweep_store_bytes", "bytes moved through the sweep store",
-            ).inc(size, direction="read")
-            return arrays, meta
-        metrics.counter(
-            "sweep_store_misses_total", "sweep store lookups not served",
-        ).inc(kind=kind)
-        return None
+        return self._load(kind, key, mmap=False, decode=_as_record)
 
     def load_record_mmap(
         self, kind: str, key: Any
@@ -771,37 +674,67 @@ class SweepStore:
         Same contract as :meth:`load_record`, but members big enough to
         be worth it are served as read-only :class:`numpy.memmap` views
         of the record file — zero-copy: the bytes stay in the OS page
-        cache and are never duplicated into private buffers. Any
-        structural obstacle (compressed members, foreign layout, a
-        filesystem that refuses to map) falls back to the eager reader,
+        cache and are never duplicated into private buffers. A
+        filesystem that refuses to map falls back to the eager reader,
         so callers never observe a behavioural difference.
+        """
+        return self._load(kind, key, mmap=True, decode=_as_record)
+
+    def _load(self, kind: str, key: Any, mmap: bool,
+              decode: Callable[[Dict[str, np.ndarray], Dict[str, Any]], Any]
+              ) -> Any:
+        """Read, validate and ``decode`` one record; None on any miss.
+
+        The hit (and its bytes) is accounted once, after ``decode``
+        accepted the record, so a record that fails to decode is an
+        invalid miss in :class:`StoreStats` and in telemetry alike.
         """
         digest = content_digest((kind, key))
         path = self._root / f"{kind}-{digest}.npz"
         telemetry = self._tel()
+        value = None
+        invalid = False
+        size = mapped = 0
         try:
             with telemetry.span("sweep_store.load", kind=kind):
                 size = os.stat(path).st_size
-                arrays, meta, mapped = _read_record_mmap(path)
+                arrays, meta, mapped = _read_record(path, mmap)
                 if (meta.get("schema") != STORE_SCHEMA_VERSION
                         or meta.get("kind") != kind
                         or meta.get("digest") != digest):
                     raise ValueError("foreign or mismatched record")
+                value = decode(arrays, meta)
         except FileNotFoundError:
-            return self._account_load(kind, None, {}, False, 0)
+            pass
         except Exception:
-            # Eager fallback: anything the zero-copy reader cannot
-            # serve (including genuinely invalid records, which the
-            # eager path accounts as such).
-            return self.load_record(kind, key)
+            invalid = True
+        hit = value is not None
+        with self._lock:
+            if hit:
+                self._hits += 1
+                self._bytes_read += size
+                self._mmap_hits += bool(mapped)
+            else:
+                self._misses += 1
+                self._invalid += invalid
+        metrics = telemetry.metrics
+        if not hit:
+            metrics.counter(
+                "sweep_store_misses_total", "sweep store lookups not served",
+            ).inc(kind=kind)
+            return None
+        metrics.counter(
+            "sweep_store_hits_total", "sweep store records served",
+        ).inc(kind=kind)
+        metrics.counter(
+            "sweep_store_bytes", "bytes moved through the sweep store",
+        ).inc(size, direction="read")
         if mapped:
-            with self._lock:
-                self._mmap_hits += 1
-            telemetry.metrics.counter(
+            metrics.counter(
                 "sweep_store_mmap_hits_total",
                 "sweep store records served zero-copy via mmap",
             ).inc(kind=kind)
-        return self._account_load(kind, arrays, meta, False, size)
+        return value
 
     def get_or_compute_arrays(
         self, kind: str, key: Any,
@@ -827,6 +760,8 @@ class SweepStore:
                    mmap: bool = False) -> Optional[BatchRunResult]:
         """Load one grid surface, or None on any kind of miss.
 
+        A record whose arrays do not form a grid is an invalid miss.
+
         Args:
             key: the grid's content-address key.
             mmap: serve the surface arrays as zero-copy memory maps of
@@ -834,22 +769,4 @@ class SweepStore:
                 batch then carries a ``release_mmap`` copy-on-demote
                 hook the sweep cache invokes on eviction.
         """
-        loaded = (self.load_record_mmap(GRID_KIND, key) if mmap
-                  else self.load_record(GRID_KIND, key))
-        if loaded is None:
-            return None
-        try:
-            batch = batch_from_record(*loaded)
-            mapped = [array for array in loaded[0].values()
-                      if isinstance(array, np.memmap)]
-            if mapped:
-                _attach_mmap_release(batch, mapped)
-            return batch
-        except Exception:
-            # Structurally valid npz, semantically broken record: demote
-            # the accounted hit to an invalid-record miss.
-            with self._lock:
-                self._hits -= 1
-                self._misses += 1
-                self._invalid += 1
-            return None
+        return self._load(GRID_KIND, key, mmap=mmap, decode=_decode_batch)

@@ -126,10 +126,8 @@ class SweepCache:
 
         Exposed because the store also persists non-sweep record kinds
         for other producers — e.g. the event-driven validation surfaces
-        (:data:`~repro.platform.store.EVENTSIM_KIND`), which the batched
-        and scalar event simulators write interchangeably (their results
-        are bitwise-identical, so records hit regardless of the engine
-        that produced them).
+        (:data:`~repro.platform.store.EVENTSIM_KIND`) written by the
+        batched lockstep event engine.
         """
         return self._store
 

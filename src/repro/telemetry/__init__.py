@@ -12,7 +12,7 @@ Five pieces, composable through one injectable handle:
 * :mod:`repro.telemetry.profile` — wall-time profiling hooks for the
   simulator and policy hot paths,
 * :mod:`repro.telemetry.spans` — hierarchical spans with ambient context
-  propagation across thread/process fan-out, Chrome trace-event export
+  propagation across thread fan-out, Chrome trace-event export
   (Perfetto-loadable) and a self-vs-total critical-path report.
 
 Instrumented components accept a :class:`Telemetry` handle and default to

@@ -30,8 +30,7 @@ class Telemetry:
         sink: optional initial event sink (anything with ``write(event)``).
         metrics: metrics registry to use (fresh one by default).
         profiler: profiler to use (fresh one by default).
-        spans: span tracker to use (fresh one by default); forked workers
-            pass a shadow tracker sharing the parent's epoch.
+        spans: span tracker to use (fresh one by default).
     """
 
     enabled = True

@@ -237,14 +237,29 @@ class TestBatchApi:
                               max_lanes_per_block=0)
 
 
-class TestExperimentFallback:
-    def test_env_knob_disables_batch(self, monkeypatch):
-        from repro.experiments import ext_model_validation as mod
-        monkeypatch.setenv(mod.EVENTSIM_BATCH_ENV, "off")
-        assert not mod._batch_enabled()
-        monkeypatch.setenv(mod.EVENTSIM_BATCH_ENV, "0")
-        assert not mod._batch_enabled()
-        monkeypatch.setenv(mod.EVENTSIM_BATCH_ENV, "1")
-        assert mod._batch_enabled()
-        monkeypatch.delenv(mod.EVENTSIM_BATCH_ENV)
-        assert mod._batch_enabled()
+class TestExperimentRefusal:
+    def test_engine_refusal_propagates_and_writes_nothing(
+            self, context, tmp_path, monkeypatch):
+        """An engine refusal fails the experiment loudly, naming its
+        input, and persists no event-driven surface."""
+        from repro.experiments import ext_model_validation
+        from repro.platform.store import EVENTSIM_KIND, SweepStore
+        from repro.platform.sweepcache import shared_cache
+
+        def refuse(self, specs, configs):
+            raise AnalysisError("lanes disagree on simds_per_cu")
+
+        monkeypatch.setattr(BatchedEventModel, "run_batch", refuse)
+        cache = shared_cache()
+        previous = cache.store
+        store = SweepStore(tmp_path / "store")
+        cache.attach_store(store)
+        try:
+            with pytest.raises(AnalysisError, match="simds_per_cu") as info:
+                ext_model_validation.run(context)
+        finally:
+            cache.attach_store(previous)
+        assert not list(store.root.glob(f"{EVENTSIM_KIND}-*"))
+        notes = getattr(info.value, "__notes__", [])
+        assert any(note.startswith("eventsim.batch: 27 configs")
+                   and "MaxFlops" in note for note in notes)

@@ -1,9 +1,12 @@
-"""Unit tests for :mod:`repro.analysis.report`."""
+"""Unit tests for :mod:`repro.analysis.report` and the telemetry-report
+eventsim line."""
 
 import pytest
 
 from repro.analysis.report import format_table, percent, to_csv
 from repro.errors import AnalysisError
+from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.report import eventsim_engine_from_metrics
 
 
 class TestFormatTable:
@@ -58,3 +61,16 @@ class TestPercent:
 
     def test_digits(self):
         assert percent(0.12345, digits=2) == "+12.35%"
+
+
+class TestEventsimEngineLine:
+    def test_lanes_give_one_line(self):
+        registry = MetricsRegistry()
+        registry.counter("eventsim_batch_lanes_total").inc(675)
+        assert eventsim_engine_from_metrics(registry.as_dict()) == (
+            "eventsim: 675 lanes via the batched lockstep engine")
+
+    def test_no_eventsim_series_gives_none(self):
+        registry = MetricsRegistry()
+        registry.counter("sweep_store_hits_total").inc(kind="grid")
+        assert eventsim_engine_from_metrics(registry.as_dict()) is None

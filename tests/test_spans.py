@@ -9,7 +9,7 @@ import threading
 import pytest
 
 from repro.errors import TelemetryError
-from repro.runtime.parallel import fan_out, fan_out_processes
+from repro.runtime.parallel import fan_out
 from repro.telemetry import Telemetry
 from repro.telemetry.handle import NULL_TELEMETRY
 from repro.telemetry.spans import (
@@ -157,47 +157,6 @@ class TestContextPropagation:
         assert run(1) == run(3)
 
 
-def _process_work(item):
-    """Top-level worker for fan_out_processes (fork-picklable)."""
-    telemetry = ambient_telemetry()
-    telemetry.metrics.counter("worker_items_total").inc(kind="proc")
-    with telemetry.span("leaf", item=item):
-        return item + 100
-
-
-class TestProcessPropagation:
-    def test_worker_spans_and_metrics_merge_back(self):
-        telemetry = traced_telemetry()
-        with telemetry.span("outer"):
-            results = fan_out_processes(_process_work, [1, 2, 3], jobs=2)
-        assert results == [101, 102, 103]
-        records = telemetry.spans.records()
-        outer = next(r for r in records if r.name == "outer")
-        wrappers = [r for r in records if r.name == "fan_out_processes"]
-        leaves = [r for r in records if r.name == "leaf"]
-        assert len(wrappers) == 3 and len(leaves) == 3
-        assert all(w.parent_id == outer.span_id for w in wrappers)
-        wrapper_ids = {w.span_id for w in wrappers}
-        assert all(leaf.parent_id in wrapper_ids for leaf in leaves)
-        # Counters from every worker process merged into the parent.
-        assert telemetry.metrics.counter(
-            "worker_items_total").value(kind="proc") == 3.0
-
-    def test_serial_and_forked_trees_agree(self):
-        def run(jobs):
-            telemetry = traced_telemetry()
-            with telemetry.span("outer"):
-                fan_out_processes(_process_work, [1, 2, 3], jobs=jobs)
-            return (tree_signature(telemetry.spans.records()),
-                    telemetry.metrics.counter(
-                        "worker_items_total").value(kind="proc"))
-
-        serial_sig, serial_count = run(1)
-        forked_sig, forked_count = run(2)
-        assert serial_sig == forked_sig
-        assert serial_count == forked_count == 3.0
-
-
 class TestChromeTrace:
     def test_round_trip(self, tmp_path):
         telemetry = traced_telemetry()
@@ -324,16 +283,3 @@ class TestAggregationAndReport:
         assert critical_path([]) == []
         assert aggregate_spans([]) == {}
         assert "none recorded" in format_span_report([]).lower()
-
-
-class TestTrackerMerging:
-    def test_extend_splices_foreign_records(self):
-        tracker = SpanTracker()
-        parent_id = tracker.allocate_id()
-        foreign = SpanTracker(epoch=tracker.epoch, root_parent=parent_id)
-        telemetry = Telemetry(spans=foreign)
-        with telemetry.span("remote"):
-            pass
-        tracker.extend(foreign.records())
-        (rec,) = tracker.records()
-        assert rec.parent_id == parent_id

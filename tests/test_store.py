@@ -4,6 +4,7 @@ robustness against corruption, concurrency, and the two-tier cache."""
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import subprocess
 import sys
@@ -244,17 +245,32 @@ class TestRobustness:
         monkeypatch.undo()
         assert store.load_batch(key) is None  # nothing was published
 
-    def test_semantically_broken_record_demoted_to_miss(self, store,
+    def test_semantically_broken_record_demoted_to_miss(self, tmp_path,
                                                         platform):
-        """A valid npz whose arrays do not form a grid reads as a miss."""
+        """A well-formed record whose arrays do not form a grid is an
+        invalid miss in the stats and in every telemetry counter, on the
+        eager and the mmap load path alike."""
         spec = all_kernels()[0].base
         key = _grid_key(platform, spec)
-        store.save_record(GRID_KIND, key,
-                          {"time": np.zeros(3, dtype=np.float64)})
-        assert store.load_batch(key) is None
-        stats = store.stats()
-        assert stats.hits == 0
-        assert stats.invalid_records == 1
+        for mmap in (False, True):
+            telemetry = Telemetry()
+            store = SweepStore(tmp_path / f"store-{mmap}",
+                               telemetry=telemetry)
+            store.save_record(GRID_KIND, key,
+                              {"time": np.zeros(3, dtype=np.float64)})
+            assert store.load_batch(key, mmap=mmap) is None
+            stats = store.stats()
+            assert stats.hits == 0
+            assert stats.misses == 1
+            assert stats.invalid_records == 1
+            assert stats.bytes_read == 0
+            metrics = telemetry.metrics
+            assert metrics.counter("sweep_store_hits_total", "").value(
+                kind=GRID_KIND) == 0.0
+            assert metrics.counter("sweep_store_misses_total", "").value(
+                kind=GRID_KIND) == 1.0
+            assert metrics.counter("sweep_store_bytes", "").value(
+                direction="read") == 0.0
 
 
 # --- generic array records -------------------------------------------------------
@@ -452,15 +468,24 @@ class TestTwoTierCache:
         cache = SweepCache(store=store)
         key = fresh_platform.sweep_cache_key(spec)
         batch = fresh_platform.grid_sweep(spec, cache=cache)
-        store.path_for(GRID_KIND, key).write_bytes(b"garbage")
-        cache.clear()
+        path = store.path_for(GRID_KIND, key)
+        # A zip archive holding the record's own arrays (the ``np.savez``
+        # layout) is not a raw container, so it is as invalid as garbage.
+        arrays, meta = store.load_record(GRID_KIND, key)
+        zipped = io.BytesIO()
+        np.savez(zipped, __meta__=np.array(json.dumps(meta)), **arrays)
+        for invalid, payload in enumerate((b"garbage", zipped.getvalue()),
+                                          start=1):
+            path.write_bytes(payload)
+            cache.clear()
 
-        again = fresh_platform.grid_sweep(spec, cache=cache)
-        _assert_batches_bitwise_equal(batch, again)
-        # ... and the write-through healed the record on disk.
-        healed = store.load_batch(key)
-        assert healed is not None
-        _assert_batches_bitwise_equal(batch, healed)
+            again = fresh_platform.grid_sweep(spec, cache=cache)
+            _assert_batches_bitwise_equal(batch, again)
+            assert store.stats().invalid_records == invalid
+            # ... and the write-through healed the record on disk.
+            healed = store.load_batch(key)
+            assert healed is not None
+            _assert_batches_bitwise_equal(batch, healed)
 
     def test_publish_emits_per_tier_counters(self, tmp_path, fresh_platform):
         spec = all_kernels()[0].base
@@ -515,45 +540,6 @@ class TestMmapLoads:
         assert not isinstance(loaded.time, np.memmap)
         assert not hasattr(loaded, "release_mmap")
         assert store.stats().mmap_hits == 0
-
-    def test_legacy_compressed_zip_record_falls_back_to_eager(
-            self, store, fresh_platform):
-        # Rewrite the record in place as a compressed legacy .npz (the
-        # format older builds published, compressed so nothing can map):
-        # the load still serves the identical record, just eagerly, and
-        # counts no mmap hit.
-        spec = all_kernels()[0].base
-        key = _grid_key(fresh_platform, spec)
-        batch = fresh_platform.grid_sweep(spec)
-        store.save_batch(key, batch)
-        path = store.path_for(GRID_KIND, key)
-        arrays, meta = store_module._read_record(path)
-        np.savez_compressed(path, __meta__=np.array(json.dumps(meta)),
-                            **arrays)
-        loaded = store.load_batch(key, mmap=True)
-        assert loaded is not None
-        assert not isinstance(loaded.time, np.memmap)
-        _assert_batches_bitwise_equal(batch, loaded)
-        stats = store.stats()
-        assert stats.mmap_hits == 0
-        assert stats.hits == 1
-
-    def test_legacy_zip_record_round_trips(self, store, fresh_platform):
-        # A record rewritten as an uncompressed legacy .npz (what older
-        # builds published) must still serve bitwise, eagerly and via
-        # mmap, from the same filename.
-        spec = all_kernels()[1].base
-        key = _grid_key(fresh_platform, spec)
-        batch = fresh_platform.grid_sweep(spec)
-        store.save_batch(key, batch)
-        path = store.path_for(GRID_KIND, key)
-        arrays, meta = store_module._read_record(path)
-        np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
-        eager = store.load_batch(key)
-        _assert_batches_bitwise_equal(batch, eager)
-        mapped = store.load_batch(key, mmap=True)
-        _assert_batches_bitwise_equal(batch, mapped)
-        assert store.stats().mmap_hits == 1
 
     def test_absent_and_corrupt_records_stay_misses(
             self, store, fresh_platform):
