@@ -36,79 +36,35 @@ Layer map (bottom-up):
 * ``repro.experiments`` -- one module per paper table/figure.
 """
 
-from repro.analysis.evaluation import EvaluationHarness
-from repro.core.baseline import BaselinePolicy
-from repro.core.harmonia import ControllerStats, HarmoniaPolicy
-from repro.core.oracle import OraclePolicy
-from repro.core.variants import ComputeDvfsOnlyPolicy, make_cg_only_policy
-from repro.gpu.architecture import HD7970, GpuArchitecture
-from repro.gpu.config import ConfigSpace, HardwareConfig
-from repro.perf.kernelspec import KernelSpec
-from repro.platform.calibration import PlatformCalibration, default_calibration
-from repro.platform.hd7970 import HardwarePlatform, make_hd7970_platform
-from repro.runtime.metrics import RunMetrics, ed, ed2, geomean
-from repro.runtime.simulator import ApplicationRunner, RunResult
-from repro.sensitivity.predictor import (
-    PAPER_BANDWIDTH_PREDICTOR,
-    PAPER_COMPUTE_PREDICTOR,
-    SensitivityPredictor,
-    train_predictors,
-)
-from repro.telemetry import (
-    NULL_TELEMETRY,
-    JsonlSink,
-    MetricsRegistry,
-    Profiler,
-    Telemetry,
-    replay_trace,
-)
-from repro.workloads.application import Application
-from repro.workloads.registry import (
-    all_applications,
-    application_names,
-    get_application,
-    get_kernel,
-)
+from repro._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "analysis.evaluation": ("EvaluationHarness",),
+    "core.baseline": ("BaselinePolicy",),
+    "core.harmonia": ("ControllerStats", "HarmoniaPolicy"),
+    "core.oracle": ("OraclePolicy",),
+    "core.variants": ("ComputeDvfsOnlyPolicy", "make_cg_only_policy"),
+    "gpu.architecture": ("HD7970", "GpuArchitecture"),
+    "gpu.config": ("ConfigSpace", "HardwareConfig"),
+    "perf.kernelspec": ("KernelSpec",),
+    "platform.calibration": ("PlatformCalibration", "default_calibration"),
+    "platform.hd7970": ("HardwarePlatform", "make_hd7970_platform"),
+    "runtime.metrics": ("RunMetrics", "ed", "ed2", "geomean"),
+    "runtime.simulator": ("ApplicationRunner", "RunResult"),
+    "sensitivity.predictor": (
+        "PAPER_BANDWIDTH_PREDICTOR", "PAPER_COMPUTE_PREDICTOR",
+        "SensitivityPredictor", "train_predictors",
+    ),
+    "telemetry": (
+        "NULL_TELEMETRY", "JsonlSink", "MetricsRegistry", "Profiler",
+        "Telemetry", "replay_trace",
+    ),
+    "workloads.application": ("Application",),
+    "workloads.registry": (
+        "all_applications", "application_names", "get_application",
+        "get_kernel",
+    ),
+})
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "EvaluationHarness",
-    "BaselinePolicy",
-    "ControllerStats",
-    "HarmoniaPolicy",
-    "OraclePolicy",
-    "ComputeDvfsOnlyPolicy",
-    "make_cg_only_policy",
-    "HD7970",
-    "GpuArchitecture",
-    "ConfigSpace",
-    "HardwareConfig",
-    "KernelSpec",
-    "PlatformCalibration",
-    "default_calibration",
-    "HardwarePlatform",
-    "make_hd7970_platform",
-    "RunMetrics",
-    "ed",
-    "ed2",
-    "geomean",
-    "ApplicationRunner",
-    "RunResult",
-    "PAPER_BANDWIDTH_PREDICTOR",
-    "PAPER_COMPUTE_PREDICTOR",
-    "SensitivityPredictor",
-    "train_predictors",
-    "Telemetry",
-    "NULL_TELEMETRY",
-    "JsonlSink",
-    "MetricsRegistry",
-    "Profiler",
-    "replay_trace",
-    "Application",
-    "all_applications",
-    "application_names",
-    "get_application",
-    "get_kernel",
-    "__version__",
-]
+__all__.append("__version__")

@@ -9,41 +9,18 @@
   benchmarks.
 """
 
-from repro.analysis.sweep import ConfigSweep, SweepPoint
-from repro.analysis.balance import find_balance_point, knee_of_curve
-from repro.analysis.evaluation import (
-    ApplicationComparison,
-    EvaluationHarness,
-    EvaluationSummary,
-)
-from repro.analysis.pareto import ParetoFrontier, distance_to_frontier, pareto_frontier
-from repro.analysis.report import format_table, to_csv
-from repro.analysis.roofline import (
-    Regime,
-    RooflinePoint,
-    balanced_configurations,
-    classify_kernel,
-    ridge_point,
-    roofline,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ConfigSweep",
-    "SweepPoint",
-    "find_balance_point",
-    "knee_of_curve",
-    "ApplicationComparison",
-    "EvaluationHarness",
-    "EvaluationSummary",
-    "ParetoFrontier",
-    "distance_to_frontier",
-    "pareto_frontier",
-    "format_table",
-    "to_csv",
-    "Regime",
-    "RooflinePoint",
-    "balanced_configurations",
-    "classify_kernel",
-    "ridge_point",
-    "roofline",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "sweep": ("ConfigSweep", "SweepPoint"),
+    "balance": ("find_balance_point", "knee_of_curve"),
+    "evaluation": (
+        "ApplicationComparison", "EvaluationHarness", "EvaluationSummary",
+    ),
+    "pareto": ("ParetoFrontier", "distance_to_frontier", "pareto_frontier"),
+    "report": ("format_table", "to_csv"),
+    "roofline": (
+        "Regime", "RooflinePoint", "balanced_configurations",
+        "classify_kernel", "ridge_point", "roofline",
+    ),
+})

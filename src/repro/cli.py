@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 from repro.analysis.report import format_table
-from repro.analysis.sweep import ConfigSweep
-from repro.experiments.context import ExperimentContext
 from repro.units import hz_to_mhz
 from repro.workloads.registry import all_kernels, application_names, get_kernel
+
+if TYPE_CHECKING:
+    from repro.experiments.context import ExperimentContext
 
 #: figure/table name -> (run, format_report) import paths, resolved lazily.
 _FIGURES: Dict[str, str] = {
@@ -120,6 +121,7 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     """Run one application under one policy."""
+    from repro.experiments.context import ExperimentContext
     from repro.runtime.simulator import ApplicationRunner
 
     context = ExperimentContext()
@@ -273,6 +275,7 @@ def cmd_telemetry_report(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     """Print the Figures 10-13 headline evaluation."""
     from repro.experiments import fig10_13_evaluation
+    from repro.experiments.context import ExperimentContext
     from repro.runtime.parallel import resolve_jobs
 
     _attach_store(args)
@@ -293,6 +296,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_montecarlo(args: argparse.Namespace) -> int:
     """Repeated-trial Monte Carlo bands for one policy vs the baseline."""
     from repro.analysis.evaluation import EvaluationHarness
+    from repro.experiments.context import ExperimentContext
     from repro.runtime.parallel import resolve_jobs
 
     _attach_store(args)
@@ -364,6 +368,8 @@ def cmd_figure(args: argparse.Namespace) -> int:
     """Regenerate one paper table/figure."""
     import importlib
 
+    from repro.experiments.context import ExperimentContext
+
     _attach_store(args)
     key = args.name.lower()
     if key in ("fig10", "fig11", "fig12", "fig13"):
@@ -395,6 +401,8 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Design-space summary for one or more kernels."""
+    from repro.analysis.sweep import ConfigSweep
+    from repro.experiments.context import ExperimentContext
     from repro.runtime.parallel import fan_out
 
     _attach_store(args)
@@ -444,6 +452,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     import pathlib
     import time
 
+    from repro.experiments.context import ExperimentContext
     from repro.experiments.registry import (
         reproduce_fingerprint, reproduce_specs)
     from repro.runtime.parallel import resolve_jobs

@@ -12,6 +12,8 @@ roughly what factor, where crossovers fall).
 twenty-odd experiments do not repeat the expensive steps.
 """
 
-from repro.experiments.context import ExperimentContext, default_context
+from repro._lazy import lazy_exports
 
-__all__ = ["ExperimentContext", "default_context"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "context": ("ExperimentContext", "default_context"),
+})

@@ -3,23 +3,31 @@
 Building the test bed is cheap, but training the Section 4 predictors and
 running the four-policy evaluation matrix over all fourteen applications
 is not free; every experiment that needs them shares one cached instance.
+
+Nothing is built, or even imported, before first use: a ``reproduce``
+served entirely from the result manifest takes the context's
+:attr:`~ExperimentContext.calibration` and
+:attr:`~ExperimentContext.config_space` for its fingerprint and never
+loads the model stack.
 """
 
 from __future__ import annotations
 
 import threading
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.analysis.evaluation import EvaluationHarness, EvaluationSummary
-from repro.core.baseline import BaselinePolicy
-from repro.core.harmonia import HarmoniaPolicy
-from repro.core.oracle import OraclePolicy
-from repro.core.variants import ComputeDvfsOnlyPolicy, make_cg_only_policy
-from repro.platform.hd7970 import HardwarePlatform, make_hd7970_platform
-from repro.sensitivity.predictor import TrainingReport, train_predictors
-from repro.workloads.application import Application
-from repro.workloads.registry import all_applications
+if TYPE_CHECKING:
+    from repro.analysis.evaluation import EvaluationSummary
+    from repro.core.baseline import BaselinePolicy
+    from repro.core.harmonia import HarmoniaPolicy
+    from repro.core.oracle import OraclePolicy
+    from repro.core.variants import ComputeDvfsOnlyPolicy
+    from repro.gpu.config import ConfigSpace
+    from repro.platform.calibration import PlatformCalibration
+    from repro.platform.hd7970 import HardwarePlatform
+    from repro.sensitivity.predictor import TrainingReport
+    from repro.workloads.application import Application
 
 
 class ExperimentContext:
@@ -29,7 +37,8 @@ class ExperimentContext:
                  jobs: int = 1):
         """
         Args:
-            platform: the test bed; defaults to a deterministic HD7970.
+            platform: the test bed; defaults to a deterministic HD7970,
+                built on first use.
             jobs: thread fan-out for the expensive stages (training-set
                 construction and the evaluation matrix). Results are
                 independent of the job count; 1 keeps everything serial
@@ -38,7 +47,7 @@ class ExperimentContext:
         if jobs < 0:
             raise ValueError(f"jobs must be >= 0 (0 = auto), got {jobs}")
         from repro.runtime.parallel import resolve_jobs
-        self._platform = platform or make_hd7970_platform()
+        self._platform = platform
         self._jobs = resolve_jobs(jobs)
         self._applications: Optional[List[Application]] = None
         self._training: Optional[TrainingReport] = None
@@ -55,14 +64,42 @@ class ExperimentContext:
 
     @property
     def platform(self) -> HardwarePlatform:
-        """The simulated HD7970 test bed."""
-        return self._platform
+        """The simulated HD7970 test bed (built once, on first use)."""
+        # Lock-free once built, like ``training``: fan-out workers read it
+        # while the thread that fanned out holds the build lock — which
+        # read it first, so it is built by then.
+        platform = self._platform
+        if platform is not None:
+            return platform
+        with self._build_lock:
+            if self._platform is None:
+                from repro.platform.hd7970 import make_hd7970_platform
+                self._platform = make_hd7970_platform()
+            return self._platform
+
+    @property
+    def calibration(self) -> PlatformCalibration:
+        """The test bed's calibration, read without building the platform."""
+        if self._platform is not None:
+            return self._platform.calibration
+        from repro.platform.calibration import default_calibration
+        return default_calibration()
+
+    @property
+    def config_space(self) -> ConfigSpace:
+        """The test bed's configuration grid, read without building the
+        platform."""
+        if self._platform is not None:
+            return self._platform.config_space
+        from repro.gpu.config import ConfigSpace
+        return ConfigSpace(self.calibration.arch)
 
     @property
     def applications(self) -> List[Application]:
         """The paper's 14 applications (built once)."""
         with self._build_lock:
             if self._applications is None:
+                from repro.workloads.registry import all_applications
                 self._applications = all_applications()
             return self._applications
 
@@ -85,8 +122,9 @@ class ExperimentContext:
             return training
         with self._build_lock:
             if self._training is None:
+                from repro.sensitivity.predictor import train_predictors
                 self._training = train_predictors(
-                    self._platform, self.applications, jobs=self._jobs
+                    self.platform, self.applications, jobs=self._jobs
                 )
             return self._training
 
@@ -94,35 +132,40 @@ class ExperimentContext:
 
     def baseline_policy(self) -> BaselinePolicy:
         """A fresh PowerTune baseline policy."""
-        return BaselinePolicy(self._platform.config_space)
+        from repro.core.baseline import BaselinePolicy
+        return BaselinePolicy(self.platform.config_space)
 
     def harmonia_policy(self, telemetry=None) -> HarmoniaPolicy:
         """A fresh Harmonia (FG+CG) policy with trained predictors."""
+        from repro.core.harmonia import HarmoniaPolicy
         training = self.training
         return HarmoniaPolicy(
-            self._platform.config_space, training.compute, training.bandwidth,
+            self.platform.config_space, training.compute, training.bandwidth,
             telemetry=telemetry,
         )
 
     def cg_only_policy(self, telemetry=None) -> HarmoniaPolicy:
         """A fresh CG-only policy."""
+        from repro.core.variants import make_cg_only_policy
         training = self.training
         return make_cg_only_policy(
-            self._platform.config_space, training.compute, training.bandwidth,
+            self.platform.config_space, training.compute, training.bandwidth,
             telemetry=telemetry,
         )
 
     def dvfs_only_policy(self, telemetry=None) -> ComputeDvfsOnlyPolicy:
         """A fresh compute-DVFS-only policy (Section 7.2)."""
+        from repro.core.variants import ComputeDvfsOnlyPolicy
         training = self.training
         return ComputeDvfsOnlyPolicy(
-            self._platform.config_space, training.compute, training.bandwidth,
+            self.platform.config_space, training.compute, training.bandwidth,
             telemetry=telemetry,
         )
 
     def oracle_policy(self) -> OraclePolicy:
         """A fresh exhaustive ED² oracle."""
-        return OraclePolicy(self._platform)
+        from repro.core.oracle import OraclePolicy
+        return OraclePolicy(self.platform)
 
     # --- the Figures 10-13 matrix -----------------------------------------------------------
 
@@ -134,7 +177,8 @@ class ExperimentContext:
 
     def _evaluation_locked(self) -> EvaluationSummary:
         if self._summary is None:
-            harness = EvaluationHarness(self._platform, self.baseline_policy())
+            from repro.analysis.evaluation import EvaluationHarness
+            harness = EvaluationHarness(self.platform, self.baseline_policy())
             if self._jobs > 1:
                 # Train before fanning out: the policy factories run inside
                 # worker threads, must all see the one shared report, and

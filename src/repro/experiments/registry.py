@@ -25,27 +25,38 @@ importing the registry costs the specs alone — a run that serves every
 report from the result manifest never loads the experiment code at
 all. The old dynamic-import problem was *stringly structure* (deps and
 ordering hidden in a module list), not the deferred imports; the specs
-keep the structure static while the code loads lazily. Only
-``fig10_13_evaluation`` and ``ablations`` are imported eagerly: their
-policy matrix and study list are registry data.
+keep the structure static while the code loads lazily, with no
+exception: the evaluation's policy matrix and the ablation study names
+are registry data held here as static tuples, which
+``tools/check_experiment_registry.py`` checks against
+``fig10_13_evaluation.POLICIES`` and ``ablations.ALL_STUDIES``.
 """
 
 from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.errors import AnalysisError
-from repro.experiments import ablations
-from repro.experiments import fig10_13_evaluation as f1013
-from repro.experiments.context import ExperimentContext
 from repro.platform.store import content_digest
+
+if TYPE_CHECKING:
+    from repro.experiments.context import ExperimentContext
 
 #: Node groups: ``core`` report nodes always run under ``reproduce``,
 #: ``ablations`` only with ``--ablations``, ``internal`` nodes carry a
 #: shared in-memory result and write no report file.
 GROUPS = ("core", "ablations", "internal")
+
+#: The Figures 10-13 policy matrix: ``fig10_13_evaluation.POLICIES``.
+EVALUATION_POLICIES: Tuple[str, ...] = ("cg-only", "harmonia", "oracle")
+
+#: The ablation studies, in ``ablations.ALL_STUDIES`` order.
+ABLATION_STUDIES: Tuple[str, ...] = (
+    "bin_edges", "fg_tolerance", "max_dithering", "cg_fg_composition",
+    "predictor_source", "measurement_noise",
+)
 
 
 @dataclass(frozen=True)
@@ -147,19 +158,23 @@ def reproduce_fingerprint(context: ExperimentContext) -> str:
 
     Covers the platform calibration, every kernel spec and the sweep
     grid axes (all via
-    :meth:`~repro.platform.hd7970.HardwarePlatform.sweep_cache_key`, the
-    same by-value key the persistent store addresses surfaces with) plus
-    the application roster. Any calibration constant, kernel
+    :func:`~repro.platform.sweepcache.sweep_cache_key`, the same
+    by-value key the persistent store addresses surfaces with) plus the
+    application roster. Any calibration constant, kernel
     characteristic, grid axis or roster change lands a different
     fingerprint, so every manifest entry keyed under the old one is
     simply never addressed again — invalidation by value, exactly like
-    the sweep store itself.
+    the sweep store itself. The context's calibration and grid are read
+    without building its platform.
     """
+    from repro.platform.sweepcache import sweep_cache_key
     from repro.workloads.registry import all_kernels
 
-    platform = context.platform
+    calibration = context.calibration
+    space = context.config_space
     surfaces = tuple(
-        platform.sweep_cache_key(kernel.base) for kernel in all_kernels()
+        sweep_cache_key(calibration, space, kernel.base)
+        for kernel in all_kernels()
     )
     roster = tuple(
         (app.name, app.suite, app.iterations, app.kernel_names())
@@ -177,13 +192,10 @@ _MODULE_CACHE: Dict[str, Any] = {}
 def _mod(name: str):
     """The experiment module behind a spec, imported on first use.
 
-    Specs bind their defining modules by name instead of importing all
-    of them at registry-import time: only two modules contribute static
-    registry data (``fig10_13_evaluation``'s policy matrix and
-    ``ablations``' study list) and stay eager imports. Everything else
-    loads when its runner or formatter first fires — so a run that
-    serves every report from the result manifest never imports the
-    experiment code at all.
+    Specs bind their defining modules by name instead of importing them
+    at registry-import time. Each loads when its runner or formatter
+    first fires — so a run that serves every report from the result
+    manifest never imports the experiment code at all.
     """
     module = _MODULE_CACHE.get(name)
     if module is None:
@@ -222,9 +234,9 @@ register(ExperimentSpec(
 register(ExperimentSpec(
     name="evaluation",
     module="fig10_13_evaluation",
-    runner=lambda context, _deps: f1013.run(context),
+    runner=lambda context, _deps: _mod("fig10_13_evaluation").run(context),
     deps=("training",),
-    inputs=("figs10-13-policy-matrix",) + f1013.POLICIES,
+    inputs=("figs10-13-policy-matrix",) + EVALUATION_POLICIES,
     group="internal",
 ))
 
@@ -247,19 +259,17 @@ register(ExperimentSpec(
         "fig04_fig05_power_ranges").format_report(result, "10%"),
     inputs=("memory-power-range", "10%"),
 ))
-for _fig, _formatter in (
-    ("fig10_ed2", f1013.format_fig10),
-    ("fig11_energy", f1013.format_fig11),
-    ("fig12_power", f1013.format_fig12),
-    ("fig13_performance", f1013.format_fig13),
-):
+for _fig in ("fig10_ed2", "fig11_energy", "fig12_power",
+             "fig13_performance"):
+    _short = _fig.split("_", 1)[0]
     register(ExperimentSpec(
         name=_fig,
         module="fig10_13_evaluation",
         runner=lambda context, deps: deps["evaluation"],
-        formatter=_formatter,
+        formatter=lambda result, _f=f"format_{_short}": getattr(
+            _mod("fig10_13_evaluation"), _f)(result),
         deps=("evaluation",),
-        inputs=(_fig.split("_", 1)[0],),
+        inputs=(_short,),
     ))
 register(_simple("fig01_power_breakdown", "fig01_power_breakdown",
                  inputs=("XSBench.CalculateXS", "baseline-config")))
@@ -289,12 +299,13 @@ register(_simple("ext_portability", "ext_portability",
 register(_simple("oracle_gap", "oracle_gap", deps=("evaluation",)))
 register(_simple("characterization", "characterization"))
 
-for _study_name, _study in ablations.ALL_STUDIES:
+for _study_name in ABLATION_STUDIES:
     register(ExperimentSpec(
         name=f"ablation_{_study_name}",
         module="ablations",
-        runner=lambda context, _deps, _s=_study: _s(context),
-        formatter=ablations.format_report,
+        runner=lambda context, _deps, _s=_study_name: dict(
+            _mod("ablations").ALL_STUDIES)[_s](context),
+        formatter=lambda result: _mod("ablations").format_report(result),
         deps=("training",),
         inputs=(_study_name,),
         group="ablations",

@@ -14,24 +14,14 @@ This subpackage models the *static* hardware facts Harmonia relies on:
   crossing model of Section 3.5.
 """
 
-from repro.gpu.architecture import HD7970, GpuArchitecture
-from repro.gpu.config import ComputeConfig, ConfigSpace, HardwareConfig, MemoryConfig
-from repro.gpu.dvfs import DvfsState, GpuDvfsTable, HD7970_DVFS_TABLE
-from repro.gpu.occupancy import OccupancyLimits, OccupancyResult, compute_occupancy
-from repro.gpu.clocks import ClockDomainModel
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "HD7970",
-    "GpuArchitecture",
-    "ComputeConfig",
-    "ConfigSpace",
-    "HardwareConfig",
-    "MemoryConfig",
-    "DvfsState",
-    "GpuDvfsTable",
-    "HD7970_DVFS_TABLE",
-    "OccupancyLimits",
-    "OccupancyResult",
-    "compute_occupancy",
-    "ClockDomainModel",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "architecture": ("HD7970", "GpuArchitecture"),
+    "config": (
+        "ComputeConfig", "ConfigSpace", "HardwareConfig", "MemoryConfig",
+    ),
+    "dvfs": ("DvfsState", "GpuDvfsTable", "HD7970_DVFS_TABLE"),
+    "occupancy": ("OccupancyLimits", "OccupancyResult", "compute_occupancy"),
+    "clocks": ("ClockDomainModel",),
+})

@@ -8,27 +8,14 @@
   on bus frequency.
 """
 
-from repro.memory.banks import (
-    AccessPattern,
-    BankTiming,
-    REFERENCE_PATTERNS,
-    pattern_for_efficiency,
-    scheduling_efficiency,
-)
-from repro.memory.gddr5 import Gddr5Timing, HD7970_GDDR5_TIMING
-from repro.memory.controller import BandwidthBreakdown, MemoryControllerModel
-from repro.memory.power import MemoryPowerBreakdown, MemoryPowerModel
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AccessPattern",
-    "BankTiming",
-    "REFERENCE_PATTERNS",
-    "pattern_for_efficiency",
-    "scheduling_efficiency",
-    "Gddr5Timing",
-    "HD7970_GDDR5_TIMING",
-    "BandwidthBreakdown",
-    "MemoryControllerModel",
-    "MemoryPowerBreakdown",
-    "MemoryPowerModel",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "banks": (
+        "AccessPattern", "BankTiming", "REFERENCE_PATTERNS",
+        "pattern_for_efficiency", "scheduling_efficiency",
+    ),
+    "gddr5": ("Gddr5Timing", "HD7970_GDDR5_TIMING"),
+    "controller": ("BandwidthBreakdown", "MemoryControllerModel"),
+    "power": ("MemoryPowerBreakdown", "MemoryPowerModel"),
+})

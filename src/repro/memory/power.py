@@ -21,10 +21,12 @@ Figure 5 ~10% board-power swing are reproduced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.errors import CalibrationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -189,6 +191,8 @@ class MemoryPowerModel:
 
     def _voltage_factor_many(self, ratio: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`_voltage_factor`, mirroring the scalar math."""
+        import numpy as np
+
         if not self.voltage_scaling:
             return np.ones_like(ratio)
         f_mem = ratio * self.f_mem_max
@@ -211,6 +215,8 @@ class MemoryPowerModel:
         Raises:
             CalibrationError: if any operating point is non-physical.
         """
+        import numpy as np
+
         f_mem = np.asarray(f_mem, dtype=np.float64)
         achieved_bandwidth = np.asarray(achieved_bandwidth, dtype=np.float64)
         if np.any(f_mem <= 0) or np.any(f_mem > self.f_mem_max * 1.001):

@@ -9,20 +9,12 @@
 * :mod:`repro.perf.result` — the per-launch result container.
 """
 
-from repro.perf.eventsim import EventDrivenModel, EventSimResult
-from repro.perf.kernelspec import KernelSpec
-from repro.perf.counters import PerfCounters
-from repro.perf.model import ModelOutput, PerformanceModel
-from repro.perf.result import KernelRunResult, PowerSample, TimeBreakdown
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EventDrivenModel",
-    "EventSimResult",
-    "KernelSpec",
-    "PerfCounters",
-    "ModelOutput",
-    "PerformanceModel",
-    "KernelRunResult",
-    "PowerSample",
-    "TimeBreakdown",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "eventsim": ("EventDrivenModel", "EventSimResult"),
+    "kernelspec": ("KernelSpec",),
+    "counters": ("PerfCounters",),
+    "model": ("ModelOutput", "PerformanceModel"),
+    "result": ("KernelRunResult", "PowerSample", "TimeBreakdown"),
+})

@@ -7,22 +7,13 @@ library (controllers, sweeps, benchmarks) talks to:
 ``HardwarePlatform.run_kernel(spec, config) -> KernelRunResult``.
 """
 
-from repro.platform.calibration import (
-    PlatformCalibration,
-    default_calibration,
-    pitcairn_calibration,
-)
-from repro.platform.hd7970 import (
-    HardwarePlatform,
-    make_hd7970_platform,
-    make_pitcairn_platform,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PlatformCalibration",
-    "default_calibration",
-    "pitcairn_calibration",
-    "HardwarePlatform",
-    "make_hd7970_platform",
-    "make_pitcairn_platform",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "calibration": (
+        "PlatformCalibration", "default_calibration", "pitcairn_calibration",
+    ),
+    "hd7970": (
+        "HardwarePlatform", "make_hd7970_platform", "make_pitcairn_platform",
+    ),
+})

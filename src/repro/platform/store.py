@@ -25,7 +25,10 @@ payload for the small records a cold ``reproduce`` writes by the
 hundreds. The filename keeps its historical ``.npz`` suffix, so content
 addresses and cache keys stay stable; a file at a record's path that
 does not start with the container magic (e.g. a zip archive) is an
-invalid record. Properties:
+invalid record. A record may have no array members at all (the result
+manifest keeps its report text in the header); numpy is imported only
+to write or read a member, so serving such records never loads it.
+Properties:
 
 * **atomic** — writes go to a unique tempfile in the store directory and
   are published with :func:`os.replace`, so concurrent ``--jobs`` workers
@@ -53,13 +56,15 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
-
-import numpy as np
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional, Tuple)
 
 from repro.gpu.config import HardwareConfig
-from repro.gpu.occupancy import OccupancyLimits, OccupancyResult
-from repro.perf.batch import BatchCounters, BatchModelOutput, BatchRunResult
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.perf.batch import BatchRunResult
 
 #: Bump whenever the record layout changes; older records then read as
 #: misses and are transparently recomputed and rewritten.
@@ -201,6 +206,8 @@ def batch_to_record(
     :class:`BatchRunResult` constructor on load with the same float
     operations, so the round trip is bitwise identical.
     """
+    import numpy as np
+
     counters = batch.counters
     columns = {
         "time": batch.time,
@@ -281,6 +288,12 @@ def batch_from_record(
         Exception: any malformation (missing arrays, length mismatches,
             bad scalar encodings) — the store turns it into a miss.
     """
+    import numpy as np
+
+    from repro.gpu.occupancy import OccupancyLimits, OccupancyResult
+    from repro.perf.batch import (
+        BatchCounters, BatchModelOutput, BatchRunResult)
+
     stack = arrays["stack"]
     if (stack.ndim != 2 or stack.shape[0] != len(_GRID_ARRAYS)
             or stack.dtype != np.float64):
@@ -361,8 +374,21 @@ def _write_raw_record(buf, meta: Dict[str, Any],
         name_bytes = name.encode("utf-8")
         buf.write(len(name_bytes).to_bytes(8, "little"))
         buf.write(name_bytes)
-        np.lib.format.write_array(buf, np.asarray(array),
-                                  allow_pickle=False)
+        _write_array(buf, array)
+
+
+def _write_array(buf, array) -> None:
+    """One member's ``.npy`` serialization (numpy loads on first member)."""
+    import numpy as np
+
+    np.lib.format.write_array(buf, np.asarray(array), allow_pickle=False)
+
+
+def _read_array(fh) -> np.ndarray:
+    """One member's array; ``fh`` sits at its ``.npy`` serialization."""
+    import numpy as np
+
+    return np.lib.format.read_array(fh, allow_pickle=False)
 
 
 def _read_raw_meta(fh) -> Dict[str, Any]:
@@ -396,7 +422,7 @@ def _read_raw_record(fh) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
     meta = _read_raw_meta(fh)
     arrays: Dict[str, np.ndarray] = {}
     for name, member in _iter_raw_members(fh):
-        arrays[name] = np.lib.format.read_array(member, allow_pickle=False)
+        arrays[name] = _read_array(member)
     return arrays, meta
 
 
@@ -409,6 +435,8 @@ def _read_raw_record_mmap(
     ones are read eagerly, and ``mapped`` counts the views served.
     ``fh`` sits just past the magic.
     """
+    import numpy as np
+
     meta = _read_raw_meta(fh)
     arrays: Dict[str, np.ndarray] = {}
     mapped = 0
@@ -432,8 +460,7 @@ def _read_raw_record_mmap(
             member.seek(nbytes, os.SEEK_CUR)
         else:
             member.seek(header_at)
-            arrays[name] = np.lib.format.read_array(member,
-                                                    allow_pickle=False)
+            arrays[name] = _read_array(member)
     return arrays, meta, mapped
 
 
@@ -462,6 +489,8 @@ def _read_record(
 
 def _materialize_batch(batch: BatchRunResult) -> None:
     """Copy a batch's array surfaces out of mapped file pages into RAM."""
+    import numpy as np
+
     for name in ("time", "compute_time", "memory_time", "overlap_residue",
                  "achieved_bandwidth", "gpu_power", "memory_power",
                  "card_power", "energy"):
@@ -517,6 +546,8 @@ def _as_record(arrays: Dict[str, np.ndarray],
 def _decode_batch(arrays: Dict[str, np.ndarray],
                   meta: Dict[str, Any]) -> BatchRunResult:
     """A grid record as a batch, with a release hook if it is mapped."""
+    import numpy as np
+
     batch = batch_from_record(arrays, meta)
     mapped = [array for array in arrays.values()
               if isinstance(array, np.memmap)]
@@ -656,15 +687,24 @@ class SweepStore:
         return True
 
     def load_record(
-        self, kind: str, key: Any
-    ) -> Optional[Tuple[Dict[str, np.ndarray], Dict[str, Any]]]:
+        self, kind: str, key: Any,
+        decode: Callable[[Dict[str, np.ndarray], Dict[str, Any]],
+                         Any] = _as_record,
+    ) -> Any:
         """Load one record as ``(arrays, meta)``, or None on a miss.
 
         Missing files, torn/corrupted/truncated records, foreign formats
         or schema versions and digest mismatches all count as misses —
         the caller recomputes and rewrites.
+
+        Args:
+            kind: the record kind.
+            key: the record's content-address key.
+            decode: ``decode(arrays, meta) -> value`` served in place of
+                the raw pair; a record it rejects by raising is an invalid
+                miss.
         """
-        return self._load(kind, key, mmap=False, decode=_as_record)
+        return self._load(kind, key, mmap=False, decode=decode)
 
     def load_record_mmap(
         self, kind: str, key: Any

@@ -46,9 +46,29 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Callable, Hashable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Hashable, NamedTuple, Optional
 
-from repro.perf.batch import BatchRunResult
+if TYPE_CHECKING:
+    from repro.gpu.config import ConfigSpace
+    from repro.perf.batch import BatchRunResult
+    from repro.perf.kernelspec import KernelSpec
+    from repro.platform.calibration import PlatformCalibration
+
+
+def sweep_cache_key(calibration: PlatformCalibration, space: ConfigSpace,
+                    spec: KernelSpec) -> Hashable:
+    """The cache key of ``spec``'s full-grid sweep on a platform built
+    from ``calibration`` over ``space``: all three by value.
+
+    Needs no platform instance, so the ``reproduce`` fingerprint can be
+    taken without building the model stack.
+    """
+    return (
+        calibration,
+        spec,
+        (space.cu_counts, space.compute_frequencies,
+         space.memory_frequencies),
+    )
 
 
 class TierStats(NamedTuple):

@@ -8,17 +8,11 @@
   power trace at 1 kHz, as the paper's measurement rig does.
 """
 
-from repro.power.gpu_power import GpuPowerModel
-from repro.power.board import BoardPowerModel
-from repro.power.daq import DaqCard, DaqTrace
-from repro.power.thermal import ThermalGovernor, ThermalModel, ThermalState
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GpuPowerModel",
-    "BoardPowerModel",
-    "DaqCard",
-    "DaqTrace",
-    "ThermalGovernor",
-    "ThermalModel",
-    "ThermalState",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "gpu_power": ("GpuPowerModel",),
+    "board": ("BoardPowerModel",),
+    "daq": ("DaqCard", "DaqTrace"),
+    "thermal": ("ThermalGovernor", "ThermalModel", "ThermalState"),
+})

@@ -20,11 +20,13 @@ varying compute frequency, voltage is also scaled as noted in Table 1").
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.errors import CalibrationError
 from repro.gpu.dvfs import GpuDvfsTable
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -115,6 +117,8 @@ class GpuPowerModel:
         ``valu_utilization`` is configuration-invariant (it reflects branch
         divergence, not the operating point) and stays a scalar.
         """
+        import numpy as np
+
         if not 0 <= valu_utilization <= 100 + 1e-9:
             raise CalibrationError(
                 f"valu_utilization={valu_utilization} outside [0, 100]"
@@ -135,6 +139,8 @@ class GpuPowerModel:
         The arithmetic mirrors the scalar path operation for operation so
         batched sweeps agree with per-launch sampling.
         """
+        import numpy as np
+
         if np.any(n_cu <= 0):
             raise CalibrationError("n_cu must be positive")
         if np.any(f_cu <= 0):

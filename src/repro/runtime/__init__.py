@@ -7,30 +7,14 @@
   driven (Section 5.1).
 """
 
-from repro.runtime.metrics import (
-    RunMetrics,
-    ed,
-    ed2,
-    geomean,
-    improvement,
-    metrics_from_launches,
-)
-from repro.runtime.trace import LaunchRecord, ResidencyTable, RunTrace
-from repro.runtime.simulator import ApplicationRunner, RunResult
-from repro.runtime.measurement import MeasuredRun, MeasuredRunner
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "RunMetrics",
-    "ed",
-    "ed2",
-    "geomean",
-    "improvement",
-    "metrics_from_launches",
-    "LaunchRecord",
-    "ResidencyTable",
-    "RunTrace",
-    "ApplicationRunner",
-    "RunResult",
-    "MeasuredRun",
-    "MeasuredRunner",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "metrics": (
+        "RunMetrics", "ed", "ed2", "geomean", "improvement",
+        "metrics_from_launches",
+    ),
+    "trace": ("LaunchRecord", "ResidencyTable", "RunTrace"),
+    "simulator": ("ApplicationRunner", "RunResult"),
+    "measurement": ("MeasuredRun", "MeasuredRunner"),
+})

@@ -35,8 +35,6 @@ from dataclasses import dataclass
 from typing import (
     Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple)
 
-import numpy as np
-
 from repro.analysis.report import format_table
 from repro.errors import AnalysisError
 from repro.platform.store import RESULT_KIND, SweepStore, content_digest
@@ -45,8 +43,9 @@ from repro.telemetry.spans import capture_span_context, use_span_context
 
 #: Bump whenever node payloads/formatting change globally; every manifest
 #: entry then reads as a miss and is transparently recomputed. Per-node
-#: changes should bump the spec's ``version`` instead.
-RESULT_SCHEMA_VERSION = 1
+#: changes should bump the spec's ``version`` instead. Version 2: the
+#: report text moved from an array member into the record header.
+RESULT_SCHEMA_VERSION = 2
 
 #: Node outcome states reported by :class:`NodeTiming`.
 STATUS_RAN = "ran"
@@ -124,10 +123,12 @@ class ResultManifest:
     """Formatted-report records in the content-addressed sweep store.
 
     Each entry is one tiny ``result-<sha256>.npz`` record holding a
-    node's exact report text, addressed by the chained node key from
-    :func:`node_keys`. The manifest inherits every store property:
-    atomic publication, self-validation (corrupt records demote to
-    misses), cross-process sharing, and invalidation by value.
+    node's exact report text as ``report`` in its JSON header (no array
+    members, so serving it needs no numpy), addressed by the chained
+    node key from :func:`node_keys`. The manifest inherits every store
+    property: atomic publication, self-validation (corrupt records, and
+    records without a ``str`` report, demote to invalid misses),
+    cross-process sharing, and invalidation by value.
     """
 
     def __init__(self, store: SweepStore, telemetry=None):
@@ -142,26 +143,25 @@ class ResultManifest:
 
     def load(self, key: Tuple) -> Optional[str]:
         """The stored report text for ``key``, or None on any miss."""
-        loaded = self._store.load_record(RESULT_KIND, key)
-        hit = False
-        text = None
-        if loaded is not None:
-            arrays, _meta = loaded
-            try:
-                text = str(arrays["report"][()])
-                hit = True
-            except Exception:
-                text = None
+        text = self._store.load_record(RESULT_KIND, key, decode=_report_text)
         self._telemetry.metrics.counter(
             "pipeline_manifest_total", "result manifest lookups",
-        ).inc(status="hit" if hit else "miss")
+        ).inc(status="miss" if text is None else "hit")
         return text
 
     def save(self, key: Tuple, name: str, text: str) -> bool:
         """Persist one node's report text; False when the write failed."""
         return self._store.save_record(
-            RESULT_KIND, key, {"report": np.array(text)}, meta={"node": name},
+            RESULT_KIND, key, {}, meta={"node": name, "report": text},
         )
+
+
+def _report_text(_arrays: Mapping[str, Any], meta: Mapping[str, Any]) -> str:
+    """A result record's report text; raising makes it an invalid miss."""
+    text = meta.get("report")
+    if not isinstance(text, str):
+        raise ValueError("result record without report text")
+    return text
 
 
 @dataclass(frozen=True)

@@ -21,83 +21,25 @@ disabled, control decisions and experiment outputs are bit-identical to
 an uninstrumented build.
 """
 
-from repro.telemetry.events import (
-    SCHEMA_VERSION,
-    CGJump,
-    ConfigApplied,
-    EVENT_TYPES,
-    FGConverged,
-    FGRevert,
-    FGStep,
-    KernelLaunch,
-    PhaseChange,
-    TelemetryEvent,
-    event_from_record,
-)
-from repro.telemetry.export import (
-    InMemorySink,
-    JsonlSink,
-    ReplayTrace,
-    export_trace,
-    load_events,
-    replay_trace,
-)
-from repro.telemetry.handle import NULL_TELEMETRY, NullTelemetry, Telemetry, coalesce
-from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.telemetry.profile import Profiler, SectionStat
-from repro.telemetry.spans import (
-    SPAN_SCHEMA_VERSION,
-    SpanRecord,
-    SpanTracker,
-    aggregate_spans,
-    ambient_telemetry,
-    capture_span_context,
-    format_span_report,
-    load_chrome_trace,
-    span_tree,
-    tree_signature,
-    use_span_context,
-    write_chrome_trace,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "EVENT_TYPES",
-    "TelemetryEvent",
-    "KernelLaunch",
-    "PhaseChange",
-    "CGJump",
-    "FGStep",
-    "FGRevert",
-    "FGConverged",
-    "ConfigApplied",
-    "event_from_record",
-    "JsonlSink",
-    "InMemorySink",
-    "ReplayTrace",
-    "replay_trace",
-    "load_events",
-    "export_trace",
-    "Telemetry",
-    "NullTelemetry",
-    "NULL_TELEMETRY",
-    "coalesce",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Profiler",
-    "SectionStat",
-    "SPAN_SCHEMA_VERSION",
-    "SpanRecord",
-    "SpanTracker",
-    "aggregate_spans",
-    "ambient_telemetry",
-    "capture_span_context",
-    "format_span_report",
-    "load_chrome_trace",
-    "span_tree",
-    "tree_signature",
-    "use_span_context",
-    "write_chrome_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "events": (
+        "SCHEMA_VERSION", "CGJump", "ConfigApplied", "EVENT_TYPES",
+        "FGConverged", "FGRevert", "FGStep", "KernelLaunch", "PhaseChange",
+        "TelemetryEvent", "event_from_record",
+    ),
+    "export": (
+        "InMemorySink", "JsonlSink", "ReplayTrace", "export_trace",
+        "load_events", "replay_trace",
+    ),
+    "handle": ("NULL_TELEMETRY", "NullTelemetry", "Telemetry", "coalesce"),
+    "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    "profile": ("Profiler", "SectionStat"),
+    "spans": (
+        "SPAN_SCHEMA_VERSION", "SpanRecord", "SpanTracker", "aggregate_spans",
+        "ambient_telemetry", "capture_span_context", "format_span_report",
+        "load_chrome_trace", "span_tree", "tree_signature", "use_span_context",
+        "write_chrome_trace",
+    ),
+})

@@ -13,34 +13,17 @@ Each kernel is a calibrated :class:`~repro.perf.kernelspec.KernelSpec`
 schedule describing how it changes across application iterations.
 """
 
-from repro.workloads.kernel import (
-    ConstantSchedule,
-    CyclicSchedule,
-    PhaseSchedule,
-    TableSchedule,
-    WorkloadKernel,
-)
-from repro.workloads.application import Application
-from repro.workloads import serialization
-from repro.workloads.registry import (
-    all_applications,
-    all_kernels,
-    application_names,
-    get_application,
-    get_kernel,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ConstantSchedule",
-    "CyclicSchedule",
-    "PhaseSchedule",
-    "TableSchedule",
-    "WorkloadKernel",
-    "Application",
-    "serialization",
-    "all_applications",
-    "all_kernels",
-    "application_names",
-    "get_application",
-    "get_kernel",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "kernel": (
+        "ConstantSchedule", "CyclicSchedule", "PhaseSchedule", "TableSchedule",
+        "WorkloadKernel",
+    ),
+    "application": ("Application",),
+    "serialization": ("serialization",),
+    "registry": (
+        "all_applications", "all_kernels", "application_names",
+        "get_application", "get_kernel",
+    ),
+})

@@ -10,8 +10,12 @@ import pytest
 
 from repro.errors import AnalysisError
 from repro.experiments import registry
-from repro.experiments.context import default_context
+from repro.experiments.context import ExperimentContext, default_context
 from repro.experiments.registry import ExperimentSpec
+from repro.platform import hd7970
+from repro.platform.hd7970 import make_hd7970_platform
+from repro.platform.store import content_digest
+from repro.workloads.registry import all_kernels
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -92,12 +96,50 @@ class TestRegistryContents:
                            group="internal")
 
 
+def platform_keyed_fingerprint(context):
+    """The fingerprint taken through the context's built platform."""
+    platform = context.platform
+    surfaces = tuple(
+        platform.sweep_cache_key(kernel.base) for kernel in all_kernels())
+    roster = tuple(
+        (app.name, app.suite, app.iterations, app.kernel_names())
+        for app in context.applications
+    )
+    return content_digest((surfaces, roster))
+
+
+def voltage_scaled_context():
+    return ExperimentContext(
+        platform=make_hd7970_platform(memory_voltage_scaling=True))
+
+
 class TestFingerprint:
     def test_deterministic_across_contexts(self):
         a = registry.reproduce_fingerprint(default_context())
         b = registry.reproduce_fingerprint(default_context())
         assert a == b
         assert len(a) == 64  # sha256 hex
+
+    @pytest.mark.parametrize("make_context",
+                             [ExperimentContext, voltage_scaled_context],
+                             ids=["default", "explicit-platform"])
+    def test_equals_platform_keyed_digest_without_building_it(
+            self, monkeypatch, make_context):
+        context = make_context()
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the fingerprint built a platform")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(hd7970, "make_hd7970_platform", refuse)
+            patch.setattr(hd7970.HardwarePlatform, "__init__", refuse)
+            fingerprint = registry.reproduce_fingerprint(context)
+        assert fingerprint == platform_keyed_fingerprint(context)
+
+    def test_explicit_platform_changes_the_fingerprint(self):
+        default = registry.reproduce_fingerprint(ExperimentContext())
+        scaled = registry.reproduce_fingerprint(voltage_scaled_context())
+        assert scaled != default
 
 
 class TestRegistryLint:
@@ -130,3 +172,44 @@ class TestRegistryLint:
         )
         assert proc.returncode == 1
         assert "fig99_orphan" in proc.stderr
+
+    @staticmethod
+    def lint_copy(tmp_path, old, new):
+        """Run the lint on a source copy whose registry has ``old``
+        replaced by ``new``."""
+        import shutil
+        root = tmp_path / "repo"
+        (root / "tools").mkdir(parents=True)
+        shutil.copytree(REPO_ROOT / "src", root / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(REPO_ROOT / "tools" / "check_experiment_registry.py",
+                    root / "tools")
+        path = root / "src" / "repro" / "experiments" / "registry.py"
+        source = path.read_text()
+        assert source.count(old) == 1
+        path.write_text(source.replace(old, new))
+        return subprocess.run(
+            [sys.executable, str(root / "tools" /
+                                 "check_experiment_registry.py")],
+            capture_output=True, text=True,
+        )
+
+    def test_lint_reports_policy_matrix_drift(self, tmp_path):
+        proc = self.lint_copy(tmp_path, '"harmonia", "oracle")',
+                              '"harmonia")')
+        assert proc.returncode == 1
+        assert "EVALUATION_POLICIES" in proc.stderr
+
+    def test_lint_reports_ablation_study_drift(self, tmp_path):
+        proc = self.lint_copy(tmp_path, '"bin_edges", ', '')
+        assert proc.returncode == 1
+        assert "ABLATION_STUDIES" in proc.stderr
+
+    @pytest.mark.parametrize("module", ["ablations", "fig10_13_evaluation"])
+    def test_lint_reports_eager_experiment_import(self, tmp_path, module):
+        proc = self.lint_copy(
+            tmp_path, "from repro.errors import AnalysisError\n",
+            "from repro.errors import AnalysisError\n"
+            f"from repro.experiments import {module}  # noqa: F401\n")
+        assert proc.returncode == 1
+        assert f"loads repro.experiments.{module}" in proc.stderr

@@ -9,7 +9,7 @@ import pytest
 
 from repro.errors import AnalysisError
 from repro.experiments.registry import ExperimentSpec
-from repro.platform.store import SweepStore, content_digest
+from repro.platform.store import RESULT_KIND, SweepStore, content_digest
 from repro.runtime.pipeline import (
     STATUS_MANIFEST,
     STATUS_PRUNED,
@@ -122,6 +122,66 @@ class TestResultManifest:
         manifest.save((2,), "b", "B")
         assert manifest.load((1,)) == "A"
         assert manifest.load((2,)) == "B"
+
+    @pytest.mark.parametrize("text", [
+        "café ≠ naïve — 漢字 🙂\n",
+        "\tcol\tcol\t\n\n\n",
+        "crlf\r\nand lone \\u escapes \"quoted\"\n\n",
+        "",
+        "nul\x00 and bell\x07 controls\n",
+    ])
+    def test_text_round_trips_byte_for_byte_in_the_header(self, tmp_path,
+                                                          text):
+        store = SweepStore(tmp_path / "s")
+        manifest = ResultManifest(store)
+        key = (2, "fp", "node", 1, (), ())
+        assert manifest.save(key, "node", text)
+        loaded = manifest.load(key)
+        assert loaded.encode("utf-8") == text.encode("utf-8")
+        arrays, meta = store.load_record(RESULT_KIND, key)
+        assert arrays == {}  # the text lives in the header, not a member
+        assert meta["report"] == text
+
+
+class TestManifestInvalidRecords:
+    """A result record without ``str`` report text is an invalid miss."""
+
+    @pytest.mark.parametrize("arrays, meta", [
+        ({}, {"node": "free"}),
+        ({}, {"node": "free", "report": 7}),
+        ({}, {"node": "free", "report": None}),
+        ({}, {"node": "free", "report": ["free=F"]}),
+        # The schema-1 layout: text in an array member, none in the header.
+        ("member", {"node": "free"}),
+    ], ids=["missing", "int", "null", "list", "array-member"])
+    def test_recomputed_and_healed(self, tmp_path, arrays, meta):
+        store = SweepStore(tmp_path / "s")
+        manifest = ResultManifest(store)
+        counter = {"lock": threading.Lock()}
+
+        def run():
+            return ExperimentPipeline(toy_dag(counter), context=None,
+                                      manifest=manifest,
+                                      fingerprint="fp").run()
+
+        cold = run()
+
+        key = node_keys(toy_dag(counter), "fp")["free"]
+        if arrays == "member":
+            import numpy as np
+            arrays = {"report": np.array("free=F")}
+        assert store.save_record(RESULT_KIND, key, arrays, meta=meta)
+        assert manifest.load(key) is None
+        assert store.stats().invalid_records == 1
+
+        warm = run()
+        assert dict(warm.reports) == dict(cold.reports)
+        assert warm.ran() == ("free",)
+        assert counter["free"] == 2
+        assert store.stats().invalid_records == 2
+        # ... and the rerun healed the record on disk.
+        assert manifest.load(key) == "free=F"
+        assert store.stats().invalid_records == 2
 
 
 def toy_dag(counter):

@@ -9,6 +9,10 @@ accelerators, never observable in the output.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -72,3 +76,39 @@ class TestReproduceByteIdentity:
         capsys.readouterr()
         nodes = json.loads(profile.read_text())["nodes"]
         assert all(node["status"] == "ran" for node in nodes)
+
+
+class TestWarmPathImports:
+    """A warm ``reproduce`` serves every report without numpy."""
+
+    PROBE = (
+        "import sys\n"
+        "from repro.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "numpy = sorted(m for m in sys.modules\n"
+        "               if m == 'numpy' or m.startswith('numpy.'))\n"
+        "print('NUMPY_MODULES', numpy, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+
+    def reproduce(self, tmp_path, leg):
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = tmp_path / f"reports-{leg}"
+        completed = subprocess.run(
+            [sys.executable, "-c", self.PROBE, "reproduce",
+             "--output", str(out), "--cache-dir", str(tmp_path / "store")],
+            capture_output=True, text=True, timeout=600,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert completed.returncode == 0, completed.stderr
+        numpy_line = completed.stderr.strip().splitlines()[-1]
+        return out, numpy_line
+
+    def test_warm_run_loads_no_numpy_and_matches_cold(self, tmp_path):
+        cold, cold_numpy = self.reproduce(tmp_path, "cold")
+        warm, warm_numpy = self.reproduce(tmp_path, "warm")
+        assert cold_numpy != "NUMPY_MODULES []"  # the cold run computes
+        assert warm_numpy == "NUMPY_MODULES []"
+        baseline = report_bytes(cold)
+        assert len(baseline) == 26
+        assert report_bytes(warm) == baseline

@@ -12,13 +12,21 @@ when:
 * a dependency edge points at an unregistered node;
 * the dependency graph has a cycle (also enforced at runtime, but the
   lint catches it before anything runs);
-* a report node name collides with another node's report file stem.
+* a report node name collides with another node's report file stem;
+* the registry's static policy matrix (``EVALUATION_POLICIES``) differs
+  from ``fig10_13_evaluation.POLICIES``, or its static study names
+  (``ABLATION_STUDIES``) differ from the names in
+  ``ablations.ALL_STUDIES``;
+* importing ``repro.experiments.registry`` loads either of those two
+  modules (a warm ``reproduce`` must not import experiment code).
 
 Run from the repository root:  python tools/check_experiment_registry.py
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -33,6 +41,48 @@ EXPERIMENTS_DIR = REPO_ROOT / "src" / "repro" / "experiments"
 
 #: Modules in the package that are infrastructure, not experiments.
 HELPER_MODULES = {"__init__", "context", "registry"}
+
+#: Experiment modules whose data the registry mirrors statically; the
+#: registry must not import them.
+MIRRORED_MODULES = ("repro.experiments.fig10_13_evaluation",
+                    "repro.experiments.ablations")
+
+
+def registry_imports() -> list:
+    """The mirrored modules a fresh ``import`` of the registry loads."""
+    probe = ("import sys, repro.experiments.registry; "
+             f"print(' '.join(m for m in {MIRRORED_MODULES!r} "
+             "if m in sys.modules))")
+    completed = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+    )
+    return completed.stdout.split()
+
+
+def check_static_data() -> list:
+    """The static tuples' drift from their sources, and eager imports."""
+    from repro.experiments import ablations, fig10_13_evaluation
+
+    errors = []
+    if registry.EVALUATION_POLICIES != fig10_13_evaluation.POLICIES:
+        errors.append(
+            f"registry.EVALUATION_POLICIES {registry.EVALUATION_POLICIES} "
+            f"!= fig10_13_evaluation.POLICIES {fig10_13_evaluation.POLICIES}"
+        )
+    studies = tuple(name for name, _study in ablations.ALL_STUDIES)
+    if registry.ABLATION_STUDIES != studies:
+        errors.append(
+            f"registry.ABLATION_STUDIES {registry.ABLATION_STUDIES} != "
+            f"ablations.ALL_STUDIES names {studies}"
+        )
+    for module in registry_imports():
+        errors.append(
+            f"importing repro.experiments.registry loads {module}; resolve "
+            "it through _mod() on first use instead"
+        )
+    return errors
 
 
 def check() -> list:
@@ -73,7 +123,7 @@ def check() -> list:
     except AnalysisError as error:
         errors.append(f"dependency graph is not schedulable: {error}")
 
-    return errors
+    return errors + check_static_data()
 
 
 def main() -> int:
