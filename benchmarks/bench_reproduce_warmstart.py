@@ -4,8 +4,9 @@
 Runs the full ``reproduce`` pipeline twice in *separate interpreters*
 sharing one store directory:
 
-* **cold** — empty store: every surface is computed and written through,
-* **warm** — populated store: surfaces are loaded instead of recomputed.
+* **cold** — empty store: every experiment runs, and the event-driven
+  validation surfaces and the result manifest are written,
+* **warm** — populated store: every report is served from the manifest.
 
 Each child times ``cli.main`` only (interpreter and import cost is the
 same either way and excluded) and reports its sweep cache/store
@@ -13,8 +14,9 @@ statistics. The parent additionally verifies
 
 * every report file is **byte-identical** between the cold and warm runs
   (the store must not change a single digit of any table), and
-* a store round trip is **bitwise identical** to a freshly computed
-  surface for all 25 kernels (``max_rel_divergence`` must be exactly 0).
+* a store round trip of the event-driven validation surface is **bitwise
+  identical** to a freshly simulated one for all 25 kernels
+  (``max_rel_divergence`` must be exactly 0).
 
 Results land in machine-readable JSON (``BENCH_warmstart.json``)::
 
@@ -25,7 +27,7 @@ Results land in machine-readable JSON (``BENCH_warmstart.json``)::
 Exits non-zero when the warm speedup falls below ``--min-speedup``
 (default 5x), when any report differs, or when any round trip diverges.
 CI restores the store directory with ``actions/cache``, so even the
-"cold" CI run usually warm-starts from a previous build's surfaces.
+"cold" CI run usually warm-starts from a previous build's records.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 _CHILD = """\
 import json, sys, time
 from repro import cli
+from repro.platform.store import attached_store
 from repro.platform.sweepcache import shared_cache
 
 t0 = time.perf_counter()
@@ -54,13 +57,12 @@ elapsed = time.perf_counter() - t0
 assert rc == 0, f"reproduce failed with exit code {rc}"
 
 stats = shared_cache().stats()
-store = shared_cache().store
+store = attached_store()
 store_stats = store.stats() if store is not None else None
 with open(sys.argv[3], "w") as fh:
     json.dump({
         "elapsed_s": elapsed,
-        "memory": {"hits": stats.memory.hits,
-                   "misses": stats.memory.misses},
+        "memory": {"hits": stats.hits, "misses": stats.misses},
         "store": {"hits": store_stats.hits,
                   "misses": store_stats.misses,
                   "invalid_records": store_stats.invalid_records,
@@ -95,34 +97,37 @@ def _compare_reports(cold_dir: Path, warm_dir: Path) -> list:
 
 
 def _round_trip_divergence(store_dir: Path) -> dict:
-    """Max relative store round-trip divergence over all 25 kernels."""
+    """Max relative store round-trip divergence of the event-driven
+    validation surfaces of all 25 kernels (any bit difference counts)."""
     import numpy as np
 
+    from repro.experiments.ext_model_validation import (
+        EVENTSIM_KIND, _batch_simulate, _load_event_times, _sample_configs)
     from repro.platform.hd7970 import make_hd7970_platform
     from repro.platform.store import SweepStore
     from repro.workloads.registry import all_kernels
 
     platform = make_hd7970_platform()
+    calibration = platform.calibration
+    configs = _sample_configs(platform.config_space)
+    specs = [kernel.base for kernel in all_kernels()]
     store = SweepStore(store_dir)
     worst = 0.0
-    kernels = all_kernels()
-    for kernel in kernels:
-        spec = kernel.base
-        fresh = platform.grid_sweep(spec)
-        key = platform.sweep_cache_key(spec)
-        assert store.save_batch(key, fresh)
-        loaded = store.load_batch(key)
+    for spec, fresh in zip(specs,
+                           _batch_simulate(calibration, specs, configs)):
+        assert store.save_record(
+            EVENTSIM_KIND, (calibration, spec, tuple(configs)),
+            {"time": fresh}, meta={"kernel_name": spec.name})
+        loaded = _load_event_times(store, calibration, spec, configs)
         assert loaded is not None, f"round trip lost {spec.name}"
-        for name in ("time", "energy", "card_power", "achieved_bandwidth",
-                     "gpu_power", "memory_power"):
-            a, b = getattr(fresh, name), getattr(loaded, name)
+        if loaded.tobytes() != fresh.tobytes():
             with np.errstate(divide="ignore", invalid="ignore"):
-                rel = np.abs(b - a) / np.where(a != 0, np.abs(a), 1.0)
-            worst = max(worst, float(np.max(rel)))
-        if fresh.configs != loaded.configs \
-                or fresh.bandwidth_limit != loaded.bandwidth_limit:
-            worst = float("inf")
-    return {"kernels": len(kernels), "max_rel_divergence": worst}
+                rel = float(np.max(np.abs(loaded - fresh) / np.where(
+                    fresh != 0, np.abs(fresh), 1.0)))
+            # A difference that is no finite relative error (NaN bits,
+            # signed zeros) still diverges.
+            worst = max(worst, rel if rel > 0 else float("inf"))
+    return {"kernels": len(specs), "max_rel_divergence": worst}
 
 
 def main(argv=None) -> int:

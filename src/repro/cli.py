@@ -54,33 +54,29 @@ _POLICIES = ("baseline", "harmonia", "cg-only", "dvfs-only", "oracle")
 
 
 def _attach_store(args: argparse.Namespace, telemetry=None):
-    """Attach the persistent sweep store behind the shared cache.
+    """Open the persistent store and attach it to the process.
 
-    Every sweeping subcommand calls this first: unless ``--no-cache`` was
-    given, deterministic grid surfaces are served from (and written
-    through to) the content-addressed store under ``--cache-dir`` /
-    ``$REPRO_CACHE_DIR`` / ``~/.cache/repro-harmonia``, so repeated CLI
-    invocations warm-start across processes. An unusable store directory
-    degrades to memory-only operation with a warning — the store is an
+    Every model-running subcommand calls this first: unless
+    ``--no-cache`` was given, the result manifest and the event-driven
+    validation surfaces are served from (and written to) the
+    content-addressed store under ``--cache-dir`` / ``$REPRO_CACHE_DIR``
+    / ``~/.cache/repro-harmonia``, so repeated CLI invocations
+    warm-start across processes. An unusable store directory degrades to
+    running without a store, with a warning — the store is an
     accelerator, never a requirement.
     """
-    from repro.platform.sweepcache import shared_cache
+    from repro.platform.store import (
+        SweepStore, attach_store, resolve_store_dir)
 
-    cache = shared_cache()
-    if getattr(args, "no_cache", False):
-        cache.detach_store()
-        return None
-    from repro.platform.store import SweepStore, resolve_store_dir
-
-    root = resolve_store_dir(getattr(args, "cache_dir", None))
-    try:
-        store = SweepStore(root, telemetry=telemetry)
-    except OSError as error:
-        print(f"warning: sweep store disabled ({root}: {error})",
-              file=sys.stderr)
-        cache.detach_store()
-        return None
-    cache.attach_store(store)
+    store = None
+    if not getattr(args, "no_cache", False):
+        root = resolve_store_dir(getattr(args, "cache_dir", None))
+        try:
+            store = SweepStore(root, telemetry=telemetry)
+        except OSError as error:
+            print(f"warning: sweep store disabled ({root}: {error})",
+                  file=sys.stderr)
+    attach_store(store)
     return store
 
 
@@ -525,8 +521,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     stats = shared_cache().stats()
     store_stats = store.stats() if store is not None else None
     print(format_cache_effectiveness(
-        stats.memory.hits, stats.memory.misses,
-        stats.store.hits, stats.store.misses,
+        stats.hits, stats.misses,
         bytes_read=store_stats.bytes_read if store_stats else 0,
         bytes_written=store_stats.bytes_written if store_stats else 0,
     ))
@@ -607,11 +602,13 @@ def build_parser() -> argparse.ArgumentParser:
     # Shared by every subcommand that evaluates sweep surfaces.
     cache_p = argparse.ArgumentParser(add_help=False)
     cache_p.add_argument("--cache-dir", metavar="DIR", default=None,
-                         help="persistent sweep-store directory (default: "
-                              "$REPRO_CACHE_DIR or ~/.cache/repro-harmonia)")
+                         help="persistent store directory for the result "
+                              "manifest and the event-sim surfaces "
+                              "(default: $REPRO_CACHE_DIR or "
+                              "~/.cache/repro-harmonia)")
     cache_p.add_argument("--no-cache", action="store_true",
-                         help="disable the persistent sweep store (the "
-                              "in-process cache stays active)")
+                         help="disable the persistent store (the "
+                              "in-process sweep cache stays active)")
 
     sub.add_parser("list", help="list applications and kernels") \
         .set_defaults(func=cmd_list)

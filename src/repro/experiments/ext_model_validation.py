@@ -30,8 +30,7 @@ from repro.errors import AnalysisError
 from repro.experiments.context import ExperimentContext, default_context
 from repro.memory.controller import MemoryControllerModel
 from repro.perf.eventsim_batch import BatchedEventModel
-from repro.platform.store import EVENTSIM_KIND
-from repro.platform.sweepcache import shared_cache
+from repro.platform.store import EVENTSIM_KIND, attached_store
 from repro.sensitivity.regression import pearson
 from repro.telemetry.spans import ambient_telemetry
 from repro.workloads.registry import all_kernels
@@ -127,25 +126,26 @@ def _load_event_times(store, calibration, spec,
     The simulator is deterministic and the most expensive stage of a cold
     ``reproduce`` (every missing lane runs through the lockstep engine),
     so its validation surface is persisted in the content-addressed sweep
-    store when one is attached to the shared cache: keyed by calibration,
+    store when the process has one attached: keyed by calibration,
     spec and the exact config sample, a warm process loads the surface
     bitwise instead of re-simulating 27 configurations per kernel.
-    Malformed foreign records that pass the schema check count as misses
-    (the caller recomputes and overwrites). The surface stays a numpy
-    array end-to-end — the deviation and correlation rows consume it
-    without a list round-trip.
+    A record without a float64 ``time`` array over the sample is an
+    invalid miss (the caller recomputes and overwrites). The surface
+    stays a numpy array end-to-end — the deviation and correlation rows
+    consume it without a list round-trip.
     """
     if store is None:
         return None
-    loaded = store.load_record(
-        EVENTSIM_KIND, (calibration, spec, tuple(configs))
+
+    def decode(arrays, _meta) -> np.ndarray:
+        times = arrays["time"]
+        if times.dtype != np.float64 or times.shape != (len(configs),):
+            raise ValueError("event-driven surface does not fit the sample")
+        return times
+
+    return store.load_record(
+        EVENTSIM_KIND, (calibration, spec, tuple(configs)), decode=decode
     )
-    if loaded is None:
-        return None
-    times = np.asarray(loaded[0].get("time"), dtype=np.float64)
-    if times.shape != (len(configs),):
-        return None
-    return times
 
 
 def run(context: ExperimentContext = None) -> ModelValidationResult:
@@ -155,7 +155,7 @@ def run(context: ExperimentContext = None) -> ModelValidationResult:
     calibration = platform.calibration
     configs = _sample_configs(platform.config_space)
     kernels = list(all_kernels())
-    store = shared_cache().store
+    store = attached_store()
 
     # Serve every kernel the store already covers, then simulate the rest:
     # every missing (kernel, config) lane runs through one batched
@@ -184,8 +184,8 @@ def run(context: ExperimentContext = None) -> ModelValidationResult:
     rows = []
     for kernel in kernels:
         # Every sampled point is a grid point: the analytical times come
-        # from the kernel's cached (and store-served) sweep surface, as
-        # one vectorized gather against the surface array.
+        # from the kernel's cached sweep surface, as one vectorized
+        # gather against the surface array.
         surface = platform.grid_sweep(kernel.base)
         indices = np.array([surface.index_of(config) for config in configs],
                            dtype=np.intp)

@@ -316,8 +316,8 @@ class HardwarePlatform:
         same kernel (the kernel-boundary execution loop re-launches every
         spec each iteration) index one shared
         :meth:`grid_sweep` surface instead of re-running the model, and
-        that surface comes from the two-tier sweep cache, so whole
-        application runs are store-served across processes. Noisy
+        that surface comes from the in-memory sweep cache, so a whole
+        application run computes each kernel's grid once. Noisy
         platforms take the scalar path: a single launch needs one keyed
         draw, not a whole-grid perturbation.
 

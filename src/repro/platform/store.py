@@ -1,34 +1,38 @@
-"""Disk-backed, content-addressed store of deterministic sweep surfaces.
+"""Disk-backed, content-addressed store of deterministic records.
 
-The in-memory sweep cache (:mod:`repro.platform.sweepcache`) amortizes
-whole-grid surfaces *within* one process; this store amortizes them
-*across* processes — ``reproduce``, ``evaluate``, each benchmark and each
-CI shard warm-start from the surfaces the previous invocation computed.
+The store amortizes work *across* processes: ``reproduce``, ``evaluate``,
+each benchmark and each CI shard reuse what the previous invocation
+persisted. It keeps two record kinds — the event-driven validation
+surfaces (:data:`EVENTSIM_KIND`), which cost far more to simulate than
+to load, and the experiment pipeline's result manifest entries
+(:data:`RESULT_KIND`), which let a warm ``reproduce`` serve every report
+without running any experiment. Full-grid sweep surfaces are *not*
+persisted: the batched model computes one faster than the store could
+save or load it, so they live only in the in-memory
+:mod:`repro.platform.sweepcache`.
 
 Keys are **content-addressed**: a record's filename is the SHA-256 digest
-of a canonical serialization of its key — the frozen
+of a canonical serialization of its key — e.g. the frozen
 :class:`~repro.platform.calibration.PlatformCalibration`, the frozen
-:class:`~repro.perf.kernelspec.KernelSpec`, and the grid axes, walked
+:class:`~repro.perf.kernelspec.KernelSpec` and a config sample, walked
 field by field with floats rendered via :meth:`float.hex` so the encoding
 is exact and stable across processes (Python's builtin ``hash()`` is
 salted per process and useless here). Changing *any* calibration
-constant, kernel characteristic, or grid axis changes the digest, so
+constant, kernel characteristic, or config changes the digest, so
 invalidation is by value: stale records are simply never addressed again.
 
-Records are single files holding the surface arrays plus one JSON
-metadata header carrying the schema version, the digest (self-check),
-and the config-invariant scalars encoded with ``float.hex`` for bitwise
-round-trips. Records are written as a **raw npy container** (a magic
+Records are single files holding named arrays plus one JSON metadata
+header carrying the schema version, the kind and the digest
+(self-check). Records are written as a **raw npy container** (a magic
 prefix, the JSON header, then length-prefixed named ``.npy`` members
 back to back) — the zip machinery of ``np.savez`` costs more than the
-payload for the small records a cold ``reproduce`` writes by the
-hundreds. The filename keeps its historical ``.npz`` suffix, so content
-addresses and cache keys stay stable; a file at a record's path that
-does not start with the container magic (e.g. a zip archive) is an
-invalid record. A record may have no array members at all (the result
-manifest keeps its report text in the header); numpy is imported only
-to write or read a member, so serving such records never loads it.
-Properties:
+payload for small records. The filename keeps its historical ``.npz``
+suffix, so content addresses and cache keys stay stable; a file at a
+record's path that does not start with the container magic (e.g. a zip
+archive) is an invalid record. A record may have no array members at
+all (the result manifest keeps its report text in the header); numpy is
+imported only to write or read a member, so serving such records never
+loads it. Properties:
 
 * **atomic** — writes go to a unique tempfile in the store directory and
   are published with :func:`os.replace`, so concurrent ``--jobs`` workers
@@ -36,14 +40,14 @@ Properties:
   the same key each publish a complete record and the last one wins
   (contents are deterministic, so the duplicates are identical);
 * **self-validating** — corrupted, truncated, foreign-format or
-  foreign-schema records (and grid records whose arrays do not form a
-  grid) are treated as misses: the caller recomputes and rewrites, the
-  store never raises out of a read;
-* **deterministic only** — exclusively noise-free surfaces are persisted
-  (the cache-then-perturb contract keeps noise keyed on read).
+  foreign-schema records (and records a caller's decoder rejects) are
+  treated as misses: the caller recomputes and rewrites, the store never
+  raises out of a read;
+* **deterministic only** — exclusively noise-free results are persisted.
 
-Only the store *layout* is defined here; the two-tier lookup policy lives
-in :class:`~repro.platform.sweepcache.SweepCache`.
+The process's store — the one the CLI opens from ``--cache-dir`` — is
+registered with :func:`attach_store` and read back with
+:func:`attached_store`.
 """
 
 from __future__ import annotations
@@ -57,21 +61,14 @@ import os
 import threading
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional, Tuple)
-
-from repro.gpu.config import HardwareConfig
+    TYPE_CHECKING, Any, Callable, Dict, NamedTuple, Optional, Tuple)
 
 if TYPE_CHECKING:
     import numpy as np
 
-    from repro.perf.batch import BatchRunResult
-
 #: Bump whenever the record layout changes; older records then read as
 #: misses and are transparently recomputed and rewritten.
 STORE_SCHEMA_VERSION = 1
-
-#: Record kind of full-grid :class:`BatchRunResult` surfaces.
-GRID_KIND = "grid"
 
 #: Record kind of experiment-pipeline result-manifest entries (the exact
 #: formatted report text of one DAG node; see
@@ -87,11 +84,6 @@ EVENTSIM_KIND = "eventsim"
 #: Environment variable overriding the default store directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
-#: Minimum member payload worth memory-mapping; smaller members are read
-#: eagerly (a map costs a syscall and a page of address space, and tiny
-#: members fit in the buffer the header read already filled).
-MMAP_MIN_BYTES = 16 * 1024
-
 #: Leading magic of raw-container records; a file without it is not a
 #: record. The trailing newline keeps accidental text-mode corruption
 #: detectable, like the npy magic it wraps.
@@ -102,22 +94,6 @@ _RAW_MAGIC = b"\x93RPROSTORE\x01\n"
 #: the GIL, the pid separates concurrent processes, and uniqueness is
 #: all the name must provide — atomicity comes from :func:`os.replace`.
 _TMP_SEQ = itertools.count()
-
-#: Row order of the stacked per-config float64 surfaces in a grid record.
-_GRID_ARRAYS = (
-    "time", "compute_time", "memory_time", "overlap_residue",
-    "achieved_bandwidth", "gpu_power", "memory_power",
-    "valu_busy", "mem_unit_busy", "mem_unit_stalled",
-    "write_unit_stalled", "ic_activity", "cfg_f_cu", "cfg_f_mem",
-)
-
-#: Config-invariant scalars kept in the JSON metadata via ``float.hex``.
-_GRID_SCALARS = (
-    "launch_overhead", "other_power", "valu_utilization", "norm_vgpr",
-    "norm_sgpr", "valu_insts_millions", "vfetch_insts_millions",
-    "vwrite_insts_millions",
-)
-
 
 def resolve_store_dir(override: Optional[str] = None) -> Path:
     """The store directory: explicit override, else ``$REPRO_CACHE_DIR``,
@@ -193,169 +169,7 @@ def content_digest(key: Any) -> str:
     return cached
 
 
-# --- BatchRunResult <-> record ---------------------------------------------------
-
-
-def batch_to_record(
-    batch: BatchRunResult,
-) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
-    """Serialize a deterministic grid surface to (arrays, metadata).
-
-    Only the independent surfaces are stored; derived quantities
-    (``card_power``, ``energy``, ``ed``/``ed2``) are recomputed by the
-    :class:`BatchRunResult` constructor on load with the same float
-    operations, so the round trip is bitwise identical.
-    """
-    import numpy as np
-
-    counters = batch.counters
-    columns = {
-        "time": batch.time,
-        "compute_time": batch.compute_time,
-        "memory_time": batch.memory_time,
-        "overlap_residue": batch.overlap_residue,
-        "achieved_bandwidth": batch.achieved_bandwidth,
-        "gpu_power": batch.gpu_power,
-        "memory_power": batch.memory_power,
-        "valu_busy": counters.valu_busy,
-        "mem_unit_busy": counters.mem_unit_busy,
-        "mem_unit_stalled": counters.mem_unit_stalled,
-        "write_unit_stalled": counters.write_unit_stalled,
-        "ic_activity": counters.ic_activity,
-        "cfg_f_cu": np.array([c.f_cu for c in batch.configs],
-                             dtype=np.float64),
-        "cfg_f_mem": np.array([c.f_mem for c in batch.configs],
-                              dtype=np.float64),
-    }
-    # One stacked 2D array instead of 14 npz members: each member costs
-    # a zip entry plus a header parse on load, and record loads are the
-    # warm-start hot path. np.stack copies values verbatim, so the
-    # round trip stays bitwise.
-    arrays: Dict[str, np.ndarray] = {
-        "stack": np.stack([columns[name] for name in _GRID_ARRAYS]),
-        "cfg_n_cu": np.array([c.n_cu for c in batch.configs], dtype=np.int64),
-        "bandwidth_limit": np.array(batch.bandwidth_limit, dtype=str),
-    }
-    occupancy = batch.occupancy
-    meta: Dict[str, Any] = {
-        "kernel_name": batch.kernel_name,
-        "scalars": {
-            "launch_overhead": batch.launch_overhead.hex(),
-            "other_power": batch.other_power.hex(),
-            "valu_utilization": counters.valu_utilization.hex(),
-            "norm_vgpr": counters.norm_vgpr.hex(),
-            "norm_sgpr": counters.norm_sgpr.hex(),
-            "valu_insts_millions": counters.valu_insts_millions.hex(),
-            "vfetch_insts_millions": counters.vfetch_insts_millions.hex(),
-            "vwrite_insts_millions": counters.vwrite_insts_millions.hex(),
-        },
-        "occupancy": {
-            "waves_per_simd": occupancy.waves_per_simd,
-            "limits": dataclasses.asdict(occupancy.limits),
-        },
-    }
-    return arrays, meta
-
-
-#: Reconstructed config tuples, keyed by the raw bytes of the config
-#: columns. Every grid record of one platform shares the same ~450-point
-#: grid, so one reconstruction serves all of a process's record loads.
-_CONFIGS_MEMO: Dict[Tuple[bytes, bytes, bytes], Tuple[HardwareConfig, ...]] = {}
-
-
-def _configs_from_arrays(
-    n_cu: np.ndarray, f_cu: np.ndarray, f_mem: np.ndarray
-) -> Tuple[HardwareConfig, ...]:
-    memo_key = (n_cu.tobytes(), f_cu.tobytes(), f_mem.tobytes())
-    configs = _CONFIGS_MEMO.get(memo_key)
-    if configs is None:
-        configs = tuple(
-            HardwareConfig(n_cu=int(n), f_cu=float(f), f_mem=float(m))
-            for n, f, m in zip(n_cu, f_cu, f_mem)
-        )
-        if len(_CONFIGS_MEMO) >= 64:
-            _CONFIGS_MEMO.clear()
-        _CONFIGS_MEMO[memo_key] = configs
-    return configs
-
-
-def batch_from_record(
-    arrays: Dict[str, np.ndarray], meta: Dict[str, Any]
-) -> BatchRunResult:
-    """Rebuild a :class:`BatchRunResult` from a loaded record.
-
-    Raises:
-        Exception: any malformation (missing arrays, length mismatches,
-            bad scalar encodings) — the store turns it into a miss.
-    """
-    import numpy as np
-
-    from repro.gpu.occupancy import OccupancyLimits, OccupancyResult
-    from repro.perf.batch import (
-        BatchCounters, BatchModelOutput, BatchRunResult)
-
-    stack = arrays["stack"]
-    if (stack.ndim != 2 or stack.shape[0] != len(_GRID_ARRAYS)
-            or stack.dtype != np.float64):
-        raise ValueError("malformed grid stack")
-    n = int(stack.shape[1])
-    columns = dict(zip(_GRID_ARRAYS, stack))
-    if arrays["cfg_n_cu"].shape != (n,) or arrays["bandwidth_limit"].shape != (n,):
-        raise ValueError("malformed grid record")
-
-    scalars = {
-        name: float.fromhex(meta["scalars"][name]) for name in _GRID_SCALARS
-    }
-    counters = BatchCounters(
-        valu_busy=columns["valu_busy"],
-        mem_unit_busy=columns["mem_unit_busy"],
-        mem_unit_stalled=columns["mem_unit_stalled"],
-        write_unit_stalled=columns["write_unit_stalled"],
-        ic_activity=columns["ic_activity"],
-        valu_utilization=scalars["valu_utilization"],
-        norm_vgpr=scalars["norm_vgpr"],
-        norm_sgpr=scalars["norm_sgpr"],
-        valu_insts_millions=scalars["valu_insts_millions"],
-        vfetch_insts_millions=scalars["vfetch_insts_millions"],
-        vwrite_insts_millions=scalars["vwrite_insts_millions"],
-    )
-    occupancy = OccupancyResult(
-        waves_per_simd=int(meta["occupancy"]["waves_per_simd"]),
-        limits=OccupancyLimits(
-            **{k: int(v) for k, v in meta["occupancy"]["limits"].items()}
-        ),
-    )
-    model = BatchModelOutput(
-        compute_time=columns["compute_time"],
-        memory_time=columns["memory_time"],
-        overlap_residue=columns["overlap_residue"],
-        launch_overhead=scalars["launch_overhead"],
-        time=columns["time"],
-        achieved_bandwidth=columns["achieved_bandwidth"],
-        occupancy=occupancy,
-        bandwidth_limit=tuple(str(s) for s in arrays["bandwidth_limit"]),
-        counters=counters,
-    )
-    configs = _configs_from_arrays(
-        arrays["cfg_n_cu"], columns["cfg_f_cu"], columns["cfg_f_mem"]
-    )
-    return BatchRunResult(
-        kernel_name=str(meta["kernel_name"]),
-        configs=configs,
-        model=model,
-        gpu_power=columns["gpu_power"],
-        memory_power=columns["memory_power"],
-        other_power=scalars["other_power"],
-    )
-
-
-# --- the raw container, eager and zero-copy (memory-mapped) reads ----------------
-#
-# Every member's ``.npy`` payload sits contiguously in the record file,
-# so a large member can be mapped directly: parse its npy header and
-# hand the bytes after it to :class:`numpy.memmap`. Pages then enter the
-# process lazily from the OS page cache, shared across processes,
-# instead of being copied into private heap buffers on every load.
+# --- the raw container -----------------------------------------------------------
 
 
 def _write_raw_record(buf, meta: Dict[str, Any],
@@ -391,12 +205,6 @@ def _read_array(fh) -> np.ndarray:
     return np.lib.format.read_array(fh, allow_pickle=False)
 
 
-def _read_raw_meta(fh) -> Dict[str, Any]:
-    """The JSON header of a raw record; ``fh`` sits just past the magic."""
-    meta_len = int.from_bytes(_read_exact(fh, 8), "little")
-    return json.loads(_read_exact(fh, meta_len))
-
-
 def _read_exact(fh, count: int) -> bytes:
     data = fh.read(count)
     if len(data) != count:
@@ -404,136 +212,26 @@ def _read_exact(fh, count: int) -> bytes:
     return data
 
 
-def _iter_raw_members(fh):
-    """Yield ``(name, fh)`` pairs with ``fh`` positioned at each member's
-    ``.npy`` serialization; the consumer must advance past the payload."""
-    while True:
-        head = fh.read(8)
-        if not head:
-            return
-        if len(head) != 8:
-            raise ValueError("truncated raw record")
-        name_len = int.from_bytes(head, "little")
-        yield _read_exact(fh, name_len).decode("utf-8"), fh
+def _read_record(path) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
+    """Read one record as ``(arrays, meta)``.
 
-
-def _read_raw_record(fh) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
-    """Eagerly read one record; ``fh`` sits just past the magic."""
-    meta = _read_raw_meta(fh)
-    arrays: Dict[str, np.ndarray] = {}
-    for name, member in _iter_raw_members(fh):
-        arrays[name] = _read_array(member)
-    return arrays, meta
-
-
-def _read_raw_record_mmap(
-    path, fh
-) -> Tuple[Dict[str, np.ndarray], Dict[str, Any], int]:
-    """Read a record, memory-mapping members worth mapping.
-
-    Large members become read-only :class:`numpy.memmap` views, small
-    ones are read eagerly, and ``mapped`` counts the views served.
-    ``fh`` sits just past the magic.
-    """
-    import numpy as np
-
-    meta = _read_raw_meta(fh)
-    arrays: Dict[str, np.ndarray] = {}
-    mapped = 0
-    for name, member in _iter_raw_members(fh):
-        header_at = member.tell()
-        version = np.lib.format.read_magic(member)
-        if version == (1, 0):
-            shape, fortran, dtype = np.lib.format.read_array_header_1_0(
-                member)
-        elif version == (2, 0):
-            shape, fortran, dtype = np.lib.format.read_array_header_2_0(
-                member)
-        else:
-            raise ValueError(f"unsupported npy format version {version}")
-        nbytes = int(dtype.itemsize) * int(np.prod(shape, dtype=np.int64))
-        if nbytes >= MMAP_MIN_BYTES and not dtype.hasobject:
-            arrays[name] = np.memmap(
-                path, dtype=dtype, mode="r", offset=member.tell(),
-                shape=shape, order="F" if fortran else "C")
-            mapped += 1
-            member.seek(nbytes, os.SEEK_CUR)
-        else:
-            member.seek(header_at)
-            arrays[name] = _read_array(member)
-    return arrays, meta, mapped
-
-
-def _read_record(
-    path, mmap: bool,
-) -> Tuple[Dict[str, np.ndarray], Dict[str, Any], int]:
-    """Read one record, optionally memory-mapping its large members.
-
-    Returns ``(arrays, meta, mapped)`` where ``mapped`` counts the
-    members served as :class:`numpy.memmap` views. A record the mapped
-    read cannot serve (e.g. a filesystem that refuses to map) is read
-    again eagerly. Raises on a missing magic or any torn, truncated or
-    foreign layout — the caller accounts that as an invalid miss.
+    Raises on a missing magic or any torn, truncated or foreign layout —
+    the caller accounts that as an invalid miss.
     """
     with open(path, "rb") as fh:
         if fh.read(len(_RAW_MAGIC)) != _RAW_MAGIC:
             raise ValueError("not a raw-container record")
-        if mmap:
-            try:
-                return _read_raw_record_mmap(path, fh)
-            except (OSError, ValueError):
-                fh.seek(len(_RAW_MAGIC))
-        arrays, meta = _read_raw_record(fh)
-    return arrays, meta, 0
-
-
-def _materialize_batch(batch: BatchRunResult) -> None:
-    """Copy a batch's array surfaces out of mapped file pages into RAM."""
-    import numpy as np
-
-    for name in ("time", "compute_time", "memory_time", "overlap_residue",
-                 "achieved_bandwidth", "gpu_power", "memory_power",
-                 "card_power", "energy"):
-        value = getattr(batch, name)
-        if isinstance(value, np.ndarray):
-            setattr(batch, name, np.array(value))
-    counters = batch.counters
-    batch.counters = dataclasses.replace(
-        counters,
-        valu_busy=np.array(counters.valu_busy),
-        mem_unit_busy=np.array(counters.mem_unit_busy),
-        mem_unit_stalled=np.array(counters.mem_unit_stalled),
-        write_unit_stalled=np.array(counters.write_unit_stalled),
-        ic_activity=np.array(counters.ic_activity),
-    )
-
-
-def _attach_mmap_release(batch: BatchRunResult,
-                         mapped: List[np.ndarray]) -> None:
-    """Give a map-backed batch a ``release_mmap`` copy-on-demote hook.
-
-    The sweep cache invokes the hook when it demotes (evicts) the entry:
-    the batch's surfaces are copied into process memory first — callers
-    holding the batch keep working on identical values — and the
-    underlying maps are then closed so the file handles and address
-    space are returned. A close is skipped (left to garbage collection)
-    when external views of the map are still alive.
-    """
-    buffers = [mm._mmap for mm in mapped
-               if getattr(mm, "_mmap", None) is not None]
-
-    def release_mmap() -> None:
-        _materialize_batch(batch)
-        mapped.clear()
-        while buffers:
-            buffer = buffers.pop()
-            try:
-                buffer.close()
-            except BufferError:
-                pass
-        batch.release_mmap = lambda: None
-
-    batch.release_mmap = release_mmap
+        meta_len = int.from_bytes(_read_exact(fh, 8), "little")
+        meta = json.loads(_read_exact(fh, meta_len))
+        arrays: Dict[str, np.ndarray] = {}
+        while True:
+            head = fh.read(8)
+            if not head:
+                return arrays, meta
+            if len(head) != 8:
+                raise ValueError("truncated raw record")
+            name = _read_exact(fh, int.from_bytes(head, "little"))
+            arrays[name.decode("utf-8")] = _read_array(fh)
 
 
 def _as_record(arrays: Dict[str, np.ndarray],
@@ -541,19 +239,6 @@ def _as_record(arrays: Dict[str, np.ndarray],
                ) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
     """The generic-record decoding: the arrays and metadata as read."""
     return arrays, meta
-
-
-def _decode_batch(arrays: Dict[str, np.ndarray],
-                  meta: Dict[str, Any]) -> BatchRunResult:
-    """A grid record as a batch, with a release hook if it is mapped."""
-    import numpy as np
-
-    batch = batch_from_record(arrays, meta)
-    mapped = [array for array in arrays.values()
-              if isinstance(array, np.memmap)]
-    if mapped:
-        _attach_mmap_release(batch, mapped)
-    return batch
 
 
 # --- the store -------------------------------------------------------------------
@@ -567,8 +252,6 @@ class StoreStats(NamedTuple):
     invalid_records: int
     bytes_read: int
     bytes_written: int
-    #: records served zero-copy with memory-mapped array members
-    mmap_hits: int = 0
 
 
 class SweepStore:
@@ -599,7 +282,6 @@ class SweepStore:
         self._invalid = 0
         self._bytes_read = 0
         self._bytes_written = 0
-        self._mmap_hits = 0
 
     @property
     def root(self) -> Path:
@@ -634,7 +316,6 @@ class SweepStore:
                 invalid_records=self._invalid,
                 bytes_read=self._bytes_read,
                 bytes_written=self._bytes_written,
-                mmap_hits=self._mmap_hits,
             )
 
     def path_for(self, kind: str, key: Any) -> Path:
@@ -702,43 +383,20 @@ class SweepStore:
             key: the record's content-address key.
             decode: ``decode(arrays, meta) -> value`` served in place of
                 the raw pair; a record it rejects by raising is an invalid
-                miss.
-        """
-        return self._load(kind, key, mmap=False, decode=decode)
-
-    def load_record_mmap(
-        self, kind: str, key: Any
-    ) -> Optional[Tuple[Dict[str, np.ndarray], Dict[str, Any]]]:
-        """Load one record with large array members memory-mapped.
-
-        Same contract as :meth:`load_record`, but members big enough to
-        be worth it are served as read-only :class:`numpy.memmap` views
-        of the record file — zero-copy: the bytes stay in the OS page
-        cache and are never duplicated into private buffers. A
-        filesystem that refuses to map falls back to the eager reader,
-        so callers never observe a behavioural difference.
-        """
-        return self._load(kind, key, mmap=True, decode=_as_record)
-
-    def _load(self, kind: str, key: Any, mmap: bool,
-              decode: Callable[[Dict[str, np.ndarray], Dict[str, Any]], Any]
-              ) -> Any:
-        """Read, validate and ``decode`` one record; None on any miss.
-
-        The hit (and its bytes) is accounted once, after ``decode``
-        accepted the record, so a record that fails to decode is an
-        invalid miss in :class:`StoreStats` and in telemetry alike.
+                miss. The hit (and its bytes) is accounted once, after
+                ``decode`` accepted the record, so a rejected record is an
+                invalid miss in :class:`StoreStats` and in telemetry alike.
         """
         digest = content_digest((kind, key))
         path = self._root / f"{kind}-{digest}.npz"
         telemetry = self._tel()
         value = None
         invalid = False
-        size = mapped = 0
+        size = 0
         try:
             with telemetry.span("sweep_store.load", kind=kind):
                 size = os.stat(path).st_size
-                arrays, meta, mapped = _read_record(path, mmap)
+                arrays, meta = _read_record(path)
                 if (meta.get("schema") != STORE_SCHEMA_VERSION
                         or meta.get("kind") != kind
                         or meta.get("digest") != digest):
@@ -753,7 +411,6 @@ class SweepStore:
             if hit:
                 self._hits += 1
                 self._bytes_read += size
-                self._mmap_hits += bool(mapped)
             else:
                 self._misses += 1
                 self._invalid += invalid
@@ -769,12 +426,11 @@ class SweepStore:
         metrics.counter(
             "sweep_store_bytes", "bytes moved through the sweep store",
         ).inc(size, direction="read")
-        if mapped:
-            metrics.counter(
-                "sweep_store_mmap_hits_total",
-                "sweep store records served zero-copy via mmap",
-            ).inc(kind=kind)
         return value
+
+    # The CLI benchmark's tracer (clibench/tracer.py) still wraps this
+    # former mmap entry point by name; drop the alias with that target.
+    load_record_mmap = load_record
 
     def get_or_compute_arrays(
         self, kind: str, key: Any,
@@ -789,24 +445,23 @@ class SweepStore:
         self.save_record(kind, key, arrays, meta=meta)
         return arrays
 
-    # --- grid surfaces -----------------------------------------------------------
 
-    def save_batch(self, key: Any, batch: BatchRunResult) -> bool:
-        """Persist one deterministic full-grid surface."""
-        arrays, meta = batch_to_record(batch)
-        return self.save_record(GRID_KIND, key, arrays, meta=meta)
+# --- the process's store ---------------------------------------------------------
 
-    def load_batch(self, key: Any,
-                   mmap: bool = False) -> Optional[BatchRunResult]:
-        """Load one grid surface, or None on any kind of miss.
+_ATTACHED: Optional[SweepStore] = None
 
-        A record whose arrays do not form a grid is an invalid miss.
 
-        Args:
-            key: the grid's content-address key.
-            mmap: serve the surface arrays as zero-copy memory maps of
-                the record file (with eager fallback). The returned
-                batch then carries a ``release_mmap`` copy-on-demote
-                hook the sweep cache invokes on eviction.
-        """
-        return self._load(GRID_KIND, key, mmap=mmap, decode=_decode_batch)
+def attach_store(store: Optional[SweepStore]) -> None:
+    """Make ``store`` the process's store (None runs without one).
+
+    The CLI attaches the store it opened from ``--cache-dir``; producers
+    of persisted records (the event-driven validation surfaces) read it
+    back with :func:`attached_store`.
+    """
+    global _ATTACHED
+    _ATTACHED = store
+
+
+def attached_store() -> Optional[SweepStore]:
+    """The process's store, or None when none is attached."""
+    return _ATTACHED

@@ -18,18 +18,13 @@ keying is *by value*: two platforms built from the same calibration share
 entries, and changing any calibration constant, kernel characteristic or
 grid axis naturally misses — no explicit invalidation protocol is needed.
 
-The cache is a **two-tier hierarchy**: the in-memory LRU fronts an
-optional disk-backed content-addressed store
-(:class:`~repro.platform.store.SweepStore`). A memory miss consults the
-store before computing, and a computed surface is written through, so a
-second *process* (another CLI invocation, a CI shard) warm-starts from the
-first one's surfaces. The store is attached via :meth:`attach_store`
-(the CLI does this from ``--cache-dir`` / ``$REPRO_CACHE_DIR``) and the
-same value-keying applies: the store digests the full key content, so no
-stale record is ever addressed.
+The cache lives in memory only. Surfaces are never persisted: the
+batched model computes a kernel's whole grid in about the time the
+on-disk store would take to save it, and faster than a load plus decode
+(see "What the store keeps" in ``docs/performance.md``).
 
-Only **deterministic** surfaces are cached, in either tier. Noisy
-platforms still use the cache:
+Only **deterministic** surfaces are cached. Noisy platforms still use
+the cache:
 :meth:`repro.platform.hd7970.HardwarePlatform.grid_sweep` looks up (or
 computes) the noise-free surface and applies the launch-keyed noise
 *after* the lookup as a vectorized draw (cache-then-perturb, see
@@ -71,43 +66,25 @@ def sweep_cache_key(calibration: PlatformCalibration, space: ConfigSpace,
     )
 
 
-class TierStats(NamedTuple):
-    """``(hits, misses)`` of one cache tier."""
+class CacheStats(NamedTuple):
+    """Lookup statistics of a :class:`SweepCache`."""
 
     hits: int
     misses: int
 
-
-class CacheStats(NamedTuple):
-    """Per-tier lookup statistics of a :class:`SweepCache`.
-
-    ``memory`` counts every lookup; ``store`` counts only the memory
-    misses that went on to consult an attached store (both zero when no
-    store was ever attached).
-    """
-
-    memory: TierStats
-    store: TierStats
-
     @property
     def lookups(self) -> int:
         """Total lookups against the cache."""
-        return self.memory.hits + self.memory.misses
-
-    @property
-    def served(self) -> int:
-        """Lookups answered without recomputing (either tier)."""
-        return self.memory.hits + self.store.hits
+        return self.hits + self.misses
 
     @property
     def hit_rate(self) -> float:
         """Fraction of lookups served without recompute (0 when unused)."""
-        return self.served / self.lookups if self.lookups else 0.0
+        return self.hits / self.lookups if self.lookups else 0.0
 
 
 class SweepCache:
-    """Bounded, thread-safe LRU of :class:`BatchRunResult` grids, with an
-    optional persistent second tier.
+    """Bounded, thread-safe LRU of :class:`BatchRunResult` grids.
 
     Attributes:
         maxsize: maximum number of cached grids; each entry holds a dozen
@@ -116,61 +93,26 @@ class SweepCache:
             repro evaluates.
     """
 
-    def __init__(self, maxsize: int = 256, store=None,
-                 mmap_loads: bool = True):
+    def __init__(self, maxsize: int = 256):
         if maxsize <= 0:
             raise ValueError("maxsize must be positive")
         self.maxsize = maxsize
-        #: serve store reads as zero-copy memory maps of the record
-        #: files (eager fallback inside the store when a record cannot
-        #: be mapped); evicting such an entry copies it on demote via
-        #: its ``release_mmap`` hook so live references stay valid
-        self.mmap_loads = mmap_loads
         self._entries: "OrderedDict[Hashable, BatchRunResult]" = OrderedDict()
         self._lock = threading.Lock()
-        self._store = store
         self._hits = 0
         self._misses = 0
-        self._store_hits = 0
-        self._store_misses = 0
         # Single-flight: one in-flight marker per key being computed, so
         # concurrent lookups of the same key wait for the leader instead
         # of duplicating the compute.
         self._inflight: dict = {}
-
-    # --- the persistent tier ---------------------------------------------------
-
-    @property
-    def store(self):
-        """The attached :class:`~repro.platform.store.SweepStore` (or None).
-
-        Exposed because the store also persists non-sweep record kinds
-        for other producers — e.g. the event-driven validation surfaces
-        (:data:`~repro.platform.store.EVENTSIM_KIND`) written by the
-        batched lockstep event engine.
-        """
-        return self._store
-
-    def attach_store(self, store) -> None:
-        """Put a persistent store behind the in-memory tier."""
-        self._store = store
-
-    def detach_store(self) -> None:
-        """Run memory-only again (existing entries stay)."""
-        self._store = None
-
-    # --- lookups ---------------------------------------------------------------
 
     def get_or_compute(
         self, key: Hashable, compute: Callable[[], BatchRunResult]
     ) -> BatchRunResult:
         """Return the cached grid for ``key``, computing it on a miss.
 
-        Lookup order: memory tier, then the attached store (a store hit
-        is promoted into memory), then ``compute`` — whose result is
-        inserted into memory and written through to the store. Store
-        reads and writes run outside the lock, like ``compute``: a slow
-        disk does not block concurrent lookups of other kernels.
+        ``compute`` runs outside the lock, so a slow surface does not
+        block concurrent lookups of other kernels.
 
         Misses are **single-flight**: when two threads race on one key,
         the first becomes the leader and computes; the rest wait and are
@@ -197,87 +139,41 @@ class SweepCache:
             # (the leader may have failed — then this thread leads).
             waiter.wait()
         try:
-            # The whole miss path is one "fill" span: store probe,
-            # compute, write-through. Which caller leads a *shared* fill
-            # is scheduling-dependent, so traces are compared with fill
-            # subtrees detached (tree_signature(..., detach=...)) —
-            # everything inside the fill is deterministic.
+            # The whole miss path is one "fill" span. Which caller leads
+            # a *shared* fill is scheduling-dependent, so traces are
+            # compared with fill subtrees detached
+            # (tree_signature(..., detach=...)) — everything inside the
+            # fill is deterministic.
             from repro.telemetry.spans import ambient_telemetry
             with ambient_telemetry().span("sweep_cache.fill"):
-                store = self._store
-                if store is not None:
-                    entry = store.load_batch(key, mmap=self.mmap_loads)
-                    with self._lock:
-                        if entry is not None:
-                            self._store_hits += 1
-                        else:
-                            self._store_misses += 1
-                    if entry is not None:
-                        self._insert(key, entry)
-                        return entry
                 result = compute()
-                self._insert(key, result)
-                if store is not None:
-                    store.save_batch(key, result)
-                return result
+            with self._lock:
+                self._entries[key] = result
+                self._entries.move_to_end(key)
+                while len(self._entries) > self.maxsize:
+                    self._entries.popitem(last=False)
+            return result
         finally:
             with self._lock:
                 self._inflight.pop(key, None)
             event.set()
 
-    def _insert(self, key: Hashable, result: BatchRunResult) -> None:
-        with self._lock:
-            self._entries[key] = result
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                _, evicted = self._entries.popitem(last=False)
-                self._demote(evicted)
-
-    @staticmethod
-    def _demote(entry: BatchRunResult) -> None:
-        """Copy-on-demote: a map-backed entry leaving the cache copies
-        its surfaces into RAM and closes its maps (live references to
-        the entry keep working on identical values)."""
-        release = getattr(entry, "release_mmap", None)
-        if release is not None:
-            release()
-
     def get(self, key: Hashable) -> Optional[BatchRunResult]:
-        """The cached grid for ``key``, or None (counts as hit/miss).
-
-        Consults both tiers but never computes; a store hit is promoted
-        into the memory tier.
-        """
+        """The cached grid for ``key``, or None (counts as hit/miss);
+        never computes."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
                 self._hits += 1
-                return entry
-            self._misses += 1
-        store = self._store
-        if store is None:
-            return None
-        entry = store.load_batch(key, mmap=self.mmap_loads)
-        with self._lock:
-            if entry is not None:
-                self._store_hits += 1
             else:
-                self._store_misses += 1
-        if entry is not None:
-            self._insert(key, entry)
-        return entry
+                self._misses += 1
+            return entry
 
     def clear(self) -> None:
-        """Drop every in-memory grid (statistics and the store are kept).
-
-        Map-backed entries are demoted (copied to RAM, maps closed) so
-        references held outside the cache stay valid."""
+        """Drop every cached grid (statistics are kept)."""
         with self._lock:
-            entries = list(self._entries.values())
             self._entries.clear()
-        for entry in entries:
-            self._demote(entry)
 
     def __len__(self) -> int:
         with self._lock:
@@ -286,12 +182,9 @@ class SweepCache:
     # --- statistics ------------------------------------------------------------
 
     def stats(self) -> CacheStats:
-        """Per-tier ``(hits, misses)`` since construction."""
+        """``(hits, misses)`` since construction."""
         with self._lock:
-            return CacheStats(
-                memory=TierStats(self._hits, self._misses),
-                store=TierStats(self._store_hits, self._store_misses),
-            )
+            return CacheStats(self._hits, self._misses)
 
     @property
     def hit_rate(self) -> float:
@@ -299,25 +192,23 @@ class SweepCache:
         return self.stats().hit_rate
 
     def publish(self, telemetry) -> None:
-        """Export the per-tier counts as telemetry counters.
+        """Export the lookup counts as telemetry counters.
 
         Sets ``sweep_cache_hits_total`` / ``sweep_cache_misses_total``
-        (labelled by tier) from the current totals; call once, at the
-        end of a run, before exporting the metrics registry.
+        from the current totals; call once, at the end of a run, before
+        exporting the metrics registry.
         """
         stats = self.stats()
         hits = telemetry.metrics.counter(
-            "sweep_cache_hits_total", "sweep cache lookups served, per tier",
+            "sweep_cache_hits_total", "sweep cache lookups served",
         )
         misses = telemetry.metrics.counter(
-            "sweep_cache_misses_total", "sweep cache lookup misses, per tier",
+            "sweep_cache_misses_total", "sweep cache lookup misses",
         )
-        for tier, tier_stats in (("memory", stats.memory),
-                                 ("store", stats.store)):
-            if tier_stats.hits:
-                hits.inc(tier_stats.hits, tier=tier)
-            if tier_stats.misses:
-                misses.inc(tier_stats.misses, tier=tier)
+        if stats.hits:
+            hits.inc(stats.hits)
+        if stats.misses:
+            misses.inc(stats.misses)
 
 
 _SHARED = SweepCache()

@@ -217,17 +217,14 @@ def _counter_total(metrics: Dict, name: str, **labels: str) -> float:
     return total
 
 
-def format_cache_effectiveness(memory_hits: int, memory_misses: int,
-                               store_hits: int, store_misses: int,
+def format_cache_effectiveness(hits: int, misses: int,
                                bytes_read: float = 0.0,
                                bytes_written: float = 0.0) -> str:
-    """One line summarizing how well the two-tier sweep cache worked."""
-    lookups = memory_hits + memory_misses
-    served = memory_hits + store_hits
-    rate = served / lookups if lookups else 0.0
-    line = (f"sweep cache: {lookups} lookups, memory {memory_hits} hits / "
-            f"{memory_misses} misses, store {store_hits} hits / "
-            f"{store_misses} misses — {rate:.0%} served without recompute")
+    """One line summarizing the sweep cache and the store's I/O."""
+    lookups = hits + misses
+    rate = hits / lookups if lookups else 0.0
+    line = (f"sweep cache: {lookups} lookups, {hits} hits / {misses} "
+            f"misses — {rate:.0%} served without recompute")
     if bytes_read or bytes_written:
         line += (f"; store I/O {bytes_read / 1024:.0f} KiB read, "
                  f"{bytes_written / 1024:.0f} KiB written")
@@ -248,28 +245,14 @@ def eventsim_engine_from_metrics(metrics: Dict) -> Optional[str]:
 def cache_effectiveness_from_metrics(metrics: Dict) -> Optional[str]:
     """The cache-effectiveness line from an exported metrics registry
     (the JSON written by ``--metrics-out``); None when the export holds
-    no sweep-cache series."""
+    no sweep-cache or store series."""
     names = ("sweep_cache_hits_total", "sweep_cache_misses_total",
-             "sweep_store_hits_total", "sweep_store_misses_total",
              "sweep_store_bytes")
     if not any(name in metrics for name in names):
         return None
-    memory_hits = _counter_total(metrics, "sweep_cache_hits_total",
-                                 tier="memory")
-    memory_misses = _counter_total(metrics, "sweep_cache_misses_total",
-                                   tier="memory")
-    store_hits = _counter_total(metrics, "sweep_cache_hits_total",
-                                tier="store")
-    store_misses = _counter_total(metrics, "sweep_cache_misses_total",
-                                  tier="store")
-    if store_hits == store_misses == 0:
-        # Fall back to the store's own live counters (e.g. a metrics
-        # export taken before SweepCache.publish ran).
-        store_hits = _counter_total(metrics, "sweep_store_hits_total")
-        store_misses = _counter_total(metrics, "sweep_store_misses_total")
     return format_cache_effectiveness(
-        int(memory_hits), int(memory_misses),
-        int(store_hits), int(store_misses),
+        int(_counter_total(metrics, "sweep_cache_hits_total")),
+        int(_counter_total(metrics, "sweep_cache_misses_total")),
         bytes_read=_counter_total(metrics, "sweep_store_bytes",
                                   direction="read"),
         bytes_written=_counter_total(metrics, "sweep_store_bytes",

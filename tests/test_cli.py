@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -81,23 +83,26 @@ class TestSweepStoreFlags:
 
     @pytest.fixture(autouse=True)
     def _detach_after(self):
-        from repro.platform.sweepcache import shared_cache
+        from repro.platform.store import attach_store
         yield
-        shared_cache().detach_store()
+        attach_store(None)
 
-    def test_cache_dir_persists_grid_records(self, tmp_path, capsys):
+    def test_cache_dir_persists_no_grid_records(self, tmp_path, capsys):
+        """Grid surfaces stay in memory: a sweep attaches the store but
+        writes nothing to it."""
+        from repro.platform.store import attached_store
         from repro.platform.sweepcache import shared_cache
         shared_cache().clear()  # cold memory tier, like a fresh process
         store_dir = tmp_path / "store"
         assert main(["sweep", "SRAD.Prepare",
                      "--cache-dir", str(store_dir)]) == 0
-        records = list(store_dir.glob("grid-*.npz"))
-        assert len(records) == 1
+        assert attached_store().root == store_dir
+        assert list(store_dir.iterdir()) == []
 
     def test_no_cache_disables_the_store(self, tmp_path, capsys):
-        from repro.platform.sweepcache import shared_cache
+        from repro.platform.store import attached_store
         assert main(["sweep", "SRAD.Prepare", "--no-cache"]) == 0
-        assert shared_cache().store is None
+        assert attached_store() is None
 
     def test_unusable_cache_dir_degrades_with_warning(self, tmp_path,
                                                       capsys):
@@ -108,20 +113,6 @@ class TestSweepStoreFlags:
         captured = capsys.readouterr()
         assert "sweep store disabled" in captured.err
         assert "min ED2" in captured.out
-
-    def test_second_invocation_warm_starts(self, tmp_path, capsys):
-        from repro.platform.sweepcache import shared_cache
-        store_dir = tmp_path / "store"
-        shared_cache().clear()  # cold start: compute + write through
-        assert main(["sweep", "SRAD.Prepare",
-                     "--cache-dir", str(store_dir)]) == 0
-        # Simulate a fresh process: empty the in-memory tier.
-        shared_cache().clear()
-        before = shared_cache().stats().store
-        assert main(["sweep", "SRAD.Prepare",
-                     "--cache-dir", str(store_dir)]) == 0
-        after = shared_cache().stats().store
-        assert after.hits == before.hits + 1
 
     def test_telemetry_report_metrics_line(self, tmp_path, capsys):
         trace = tmp_path / "run.jsonl"
@@ -134,7 +125,8 @@ class TestSweepStoreFlags:
                      "--metrics", str(metrics)]) == 0
         out = capsys.readouterr().out
         assert "sweep cache:" in out
-        assert "served without recompute" in out
+        assert re.search(r"^sweep cache: \d+ lookups, \d+ hits / \d+ misses "
+                         r"— \d+% served without recompute", out, re.M)
 
     def test_telemetry_report_metrics_unreadable(self, tmp_path, capsys):
         trace = tmp_path / "run.jsonl"
@@ -162,9 +154,9 @@ class TestObservabilityCli:
 
     @pytest.fixture(autouse=True)
     def _detach_after(self):
-        from repro.platform.sweepcache import shared_cache
+        from repro.platform.store import attach_store
         yield
-        shared_cache().detach_store()
+        attach_store(None)
 
     def test_traced_reproduce_nests_everything(self, tmp_path, capsys):
         trace = tmp_path / "trace.json"

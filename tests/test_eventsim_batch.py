@@ -243,22 +243,21 @@ class TestExperimentRefusal:
         """An engine refusal fails the experiment loudly, naming its
         input, and persists no event-driven surface."""
         from repro.experiments import ext_model_validation
-        from repro.platform.store import EVENTSIM_KIND, SweepStore
-        from repro.platform.sweepcache import shared_cache
+        from repro.platform.store import (
+            EVENTSIM_KIND, SweepStore, attach_store, attached_store)
 
         def refuse(self, specs, configs):
             raise AnalysisError("lanes disagree on simds_per_cu")
 
         monkeypatch.setattr(BatchedEventModel, "run_batch", refuse)
-        cache = shared_cache()
-        previous = cache.store
+        previous = attached_store()
         store = SweepStore(tmp_path / "store")
-        cache.attach_store(store)
+        attach_store(store)
         try:
             with pytest.raises(AnalysisError, match="simds_per_cu") as info:
                 ext_model_validation.run(context)
         finally:
-            cache.attach_store(previous)
+            attach_store(previous)
         assert not list(store.root.glob(f"{EVENTSIM_KIND}-*"))
         notes = getattr(info.value, "__notes__", [])
         assert any(note.startswith("eventsim.batch: 27 configs")

@@ -205,6 +205,46 @@ class TestRegistryLint:
         assert proc.returncode == 1
         assert "ABLATION_STUDIES" in proc.stderr
 
+    def test_lint_reports_context_read_without_dep(self):
+        """A synthetic spec whose module reads the evaluation off the
+        context but declares no dependency fails the lint; depending on
+        the evaluation covers the training it chains on."""
+        import importlib.util
+        location = REPO_ROOT / "tools" / "check_experiment_registry.py"
+        loader = importlib.util.spec_from_file_location(
+            "check_experiment_registry", location)
+        lint = importlib.util.module_from_spec(loader)
+        loader.loader.exec_module(lint)
+
+        def probe(deps):
+            return ExperimentSpec(
+                name="fig99_probe", module="fig99_probe",
+                runner=lambda context, _deps: None, formatter=str,
+                deps=deps)
+
+        def source(module):
+            if module != "fig99_probe":
+                return ""
+            return ("summary = context.evaluation\n"
+                    "policy = context.harmonia_policy()\n")
+
+        errors = lint.check_context_reads([probe(())], read_source=source)
+        assert len(errors) == 2
+        assert all("'fig99_probe'" in error for error in errors)
+        assert "context.evaluation" in errors[0]
+        assert "context.harmonia_policy" in errors[1]
+        covered = [probe(("evaluation",))] + [
+            spec for spec in registry.all_specs()
+            if spec.name in ("evaluation", "training")]
+        assert lint.check_context_reads(covered, read_source=source) == []
+
+    def test_lint_reports_dropped_evaluation_dep(self, tmp_path):
+        proc = self.lint_copy(tmp_path, 'deps=("evaluation",), version=2))',
+                              'version=2))')
+        assert proc.returncode == 1
+        assert "'ext_memory_voltage'" in proc.stderr
+        assert "context.evaluation" in proc.stderr
+
     @pytest.mark.parametrize("module", ["ablations", "fig10_13_evaluation"])
     def test_lint_reports_eager_experiment_import(self, tmp_path, module):
         proc = self.lint_copy(

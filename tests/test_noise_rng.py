@@ -286,14 +286,14 @@ class TestExecutionOrderInvariance:
         cold = make_hd7970_platform(noise_std_fraction=0.05, seed=9)
         cold_cache = SweepCache()
         miss = cold.grid_sweep(SPEC, cache=cold_cache, iteration=1)
-        assert cold_cache.stats().memory == (0, 1)
+        assert cold_cache.stats() == (0, 1)
 
         # Hit path: a pre-warmed cache serves the same clean surface.
         warm = make_hd7970_platform(noise_std_fraction=0.05, seed=9)
         warm_cache = SweepCache()
         warm.grid_sweep(SPEC, cache=warm_cache, iteration=0)
         hit = warm.grid_sweep(SPEC, cache=warm_cache, iteration=1)
-        assert warm_cache.stats().memory == (1, 1)
+        assert warm_cache.stats() == (1, 1)
 
         np.testing.assert_array_equal(miss.time, hit.time)
         np.testing.assert_array_equal(miss.energy, hit.energy)

@@ -1,12 +1,14 @@
 """Unit tests for :mod:`repro.analysis.report` and the telemetry-report
-eventsim line."""
+eventsim and sweep-cache lines."""
 
 import pytest
 
 from repro.analysis.report import format_table, percent, to_csv
 from repro.errors import AnalysisError
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.report import eventsim_engine_from_metrics
+from repro.telemetry.report import (
+    cache_effectiveness_from_metrics, eventsim_engine_from_metrics,
+    format_cache_effectiveness)
 
 
 class TestFormatTable:
@@ -72,5 +74,32 @@ class TestEventsimEngineLine:
 
     def test_no_eventsim_series_gives_none(self):
         registry = MetricsRegistry()
-        registry.counter("sweep_store_hits_total").inc(kind="grid")
+        registry.counter("sweep_store_hits_total").inc(kind="eventsim")
         assert eventsim_engine_from_metrics(registry.as_dict()) is None
+
+
+class TestCacheEffectivenessLine:
+    def test_lookups_and_store_io(self):
+        assert format_cache_effectiveness(
+            363, 106, bytes_read=0, bytes_written=44 * 1024) == (
+            "sweep cache: 469 lookups, 363 hits / 106 misses — 77% served "
+            "without recompute; store I/O 0 KiB read, 44 KiB written")
+
+    def test_unused_cache_without_store_io(self):
+        assert format_cache_effectiveness(0, 0) == (
+            "sweep cache: 0 lookups, 0 hits / 0 misses — 0% served "
+            "without recompute")
+
+    def test_line_from_metrics_export(self):
+        registry = MetricsRegistry()
+        registry.counter("sweep_cache_hits_total").inc(3)
+        registry.counter("sweep_cache_misses_total").inc(1)
+        registry.counter("sweep_store_bytes").inc(2048, direction="read")
+        assert cache_effectiveness_from_metrics(registry.as_dict()) == (
+            "sweep cache: 4 lookups, 3 hits / 1 misses — 75% served "
+            "without recompute; store I/O 2 KiB read, 0 KiB written")
+
+    def test_no_cache_series_gives_none(self):
+        registry = MetricsRegistry()
+        registry.counter("eventsim_batch_lanes_total").inc(675)
+        assert cache_effectiveness_from_metrics(registry.as_dict()) is None

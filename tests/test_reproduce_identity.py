@@ -36,9 +36,9 @@ def report_bytes(directory):
 class TestReproduceByteIdentity:
     @pytest.fixture(autouse=True)
     def _detach_after(self):
-        from repro.platform.sweepcache import shared_cache
+        from repro.platform.store import attach_store
         yield
-        shared_cache().detach_store()
+        attach_store(None)
 
     def test_serial_parallel_and_warm_are_identical(self, tmp_path, capsys):
         serial = run_reproduce(tmp_path, "serial", ["--jobs", "1"])

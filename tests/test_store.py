@@ -1,5 +1,7 @@
-"""The persistent content-addressed sweep store: digests, round trips,
-robustness against corruption, concurrency, and the two-tier cache."""
+"""The persistent content-addressed store: digests, round trips,
+robustness against corruption, and concurrency, on the two record kinds
+it keeps — event-driven validation surfaces and result manifest
+entries."""
 
 from __future__ import annotations
 
@@ -15,17 +17,20 @@ import numpy as np
 import pytest
 
 import repro.platform.store as store_module
+from repro.experiments.ext_model_validation import (
+    _load_event_times, _sample_configs)
 from repro.platform.hd7970 import make_hd7970_platform, make_pitcairn_platform
 from repro.platform.store import (
-    GRID_KIND,
+    EVENTSIM_KIND,
+    RESULT_KIND,
     SweepStore,
-    batch_from_record,
-    batch_to_record,
+    attach_store,
+    attached_store,
     canonical_encode,
     content_digest,
     resolve_store_dir,
 )
-from repro.platform.sweepcache import SweepCache
+from repro.runtime.pipeline import ResultManifest
 from repro.telemetry.handle import Telemetry
 from repro.workloads.registry import all_kernels
 
@@ -37,6 +42,75 @@ def store(tmp_path):
 
 def _grid_key(platform, spec):
     return platform.sweep_cache_key(spec)
+
+
+# --- the two record kinds ----------------------------------------------------------
+
+
+class EventsimRecord:
+    """One kernel's event-driven validation record: the production key
+    (calibration, spec, config sample) and a float64 ``time`` surface
+    over the sample, read back through the production decoder."""
+
+    def __init__(self, platform, index=0):
+        self.calibration = platform.calibration
+        self.spec = all_kernels()[index].base
+        self.configs = _sample_configs(platform.config_space)
+        rng = np.random.default_rng(index)
+        self.time = rng.random(len(self.configs)) * 1e-3
+
+    @property
+    def key(self):
+        return (self.calibration, self.spec, tuple(self.configs))
+
+    def save(self, store):
+        return store.save_record(EVENTSIM_KIND, self.key,
+                                 {"time": self.time},
+                                 meta={"kernel_name": self.spec.name})
+
+    def load(self, store):
+        return _load_event_times(store, self.calibration, self.spec,
+                                 self.configs)
+
+    def path(self, store):
+        return store.path_for(EVENTSIM_KIND, self.key)
+
+
+class ResultRecord:
+    """One result manifest entry: a node's report text in the header."""
+
+    key = (1, "f" * 64, "fig10_ed2", 1, ("fig10",), ())
+    text = "Figure 10: ED2 improvement\ngeomean 1  +12.0%  — ü"
+
+    def save(self, store):
+        return ResultManifest(store).save(self.key, "fig10_ed2", self.text)
+
+    def load(self, store):
+        return ResultManifest(store).load(self.key)
+
+    def path(self, store):
+        return store.path_for(RESULT_KIND, self.key)
+
+
+@pytest.fixture()
+def eventsim(platform):
+    return EventsimRecord(platform)
+
+
+def _each_kind(platform, tmp_path):
+    """``(record, empty store)`` for each kept record kind in turn."""
+    for kind, record in ((EVENTSIM_KIND, EventsimRecord(platform)),
+                         (RESULT_KIND, ResultRecord())):
+        yield record, SweepStore(tmp_path / kind)
+
+
+def _assert_served(record, value):
+    assert value is not None
+    if isinstance(record, EventsimRecord):
+        assert value.dtype == np.float64
+        assert value.tobytes() == record.time.tobytes()
+    else:
+        assert value == record.text
 
 
 # --- canonical encoding and digests ---------------------------------------------
@@ -123,142 +197,135 @@ class TestResolveStoreDir:
 
 
 class TestRoundTrip:
-    def test_record_round_trip_is_bitwise(self, platform):
-        batch = platform.grid_sweep(all_kernels()[0].base)
-        rebuilt = batch_from_record(*batch_to_record(batch))
-        _assert_batches_bitwise_equal(batch, rebuilt)
+    def test_record_round_trip_is_bitwise(self, store):
+        """Arrays of any dtype and special float values, and the JSON
+        metadata, survive the raw container bit for bit."""
+        time = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324,
+                         np.nextafter(1.0, 2.0), 1e-3], dtype=np.float64)
+        arrays = {"time": time,
+                  "counts": np.arange(6, dtype=np.int64).reshape(2, 3),
+                  "names": np.array(["a", "bc"])}
+        meta = {"kernel_name": "MaxFlops", "nested": {"x": [1, 2.5, None]}}
+        assert store.save_record(EVENTSIM_KIND, ("k",), arrays, meta=meta)
+        loaded, loaded_meta = store.load_record(EVENTSIM_KIND, ("k",))
+        assert set(loaded) == set(arrays)
+        for name, array in arrays.items():
+            assert loaded[name].dtype == array.dtype
+            assert loaded[name].shape == array.shape
+            assert loaded[name].tobytes() == array.tobytes()
+        assert {k: loaded_meta[k] for k in meta} == meta
+        assert loaded_meta["kind"] == EVENTSIM_KIND
 
     def test_store_round_trip_is_bitwise(self, store, platform):
-        for kernel in all_kernels()[:4]:
-            batch = platform.grid_sweep(kernel.base)
-            key = _grid_key(platform, kernel.base)
-            assert store.save_batch(key, batch)
-            loaded = store.load_batch(key)
-            assert loaded is not None
-            _assert_batches_bitwise_equal(batch, loaded)
+        for index in range(4):
+            record = EventsimRecord(platform, index)
+            assert record.save(store)
+            _assert_served(record, record.load(store))
+        result = ResultRecord()
+        assert result.save(store)
+        _assert_served(result, result.load(store))
 
-    def test_derived_surfaces_survive(self, store, platform):
-        spec = all_kernels()[2].base
-        batch = platform.grid_sweep(spec)
-        key = _grid_key(platform, spec)
-        store.save_batch(key, batch)
-        loaded = store.load_batch(key)
-        np.testing.assert_array_equal(batch.card_power, loaded.card_power)
-        np.testing.assert_array_equal(batch.energy, loaded.energy)
-        np.testing.assert_array_equal(batch.ed2, loaded.ed2)
-        assert batch.configs == loaded.configs
-        assert batch.bandwidth_limit == loaded.bandwidth_limit
-        assert batch.occupancy == loaded.occupancy
-
-    def test_no_tempfiles_left_behind(self, store, platform):
-        spec = all_kernels()[0].base
-        store.save_batch(_grid_key(platform, spec), platform.grid_sweep(spec))
+    def test_no_tempfiles_left_behind(self, store, eventsim):
+        eventsim.save(store)
+        ResultRecord().save(store)
         leftovers = [p for p in store.root.iterdir()
                      if ".tmp" in p.name]
         assert leftovers == []
-
-
-def _assert_batches_bitwise_equal(a, b):
-    assert a.kernel_name == b.kernel_name
-    np.testing.assert_array_equal(a.time, b.time)
-    np.testing.assert_array_equal(a.compute_time, b.compute_time)
-    np.testing.assert_array_equal(a.memory_time, b.memory_time)
-    np.testing.assert_array_equal(a.achieved_bandwidth, b.achieved_bandwidth)
-    np.testing.assert_array_equal(a.gpu_power, b.gpu_power)
-    np.testing.assert_array_equal(a.memory_power, b.memory_power)
-    assert a.launch_overhead == b.launch_overhead
-    assert a.other_power == b.other_power
-    assert a.counters.valu_utilization == b.counters.valu_utilization
-    np.testing.assert_array_equal(a.counters.valu_busy, b.counters.valu_busy)
-    np.testing.assert_array_equal(a.counters.ic_activity,
-                                  b.counters.ic_activity)
 
 
 # --- robustness ------------------------------------------------------------------
 
 
 class TestRobustness:
-    def test_absent_record_is_plain_miss(self, store, platform):
-        key = _grid_key(platform, all_kernels()[0].base)
-        assert store.load_batch(key) is None
-        stats = store.stats()
-        assert stats.misses == 1
-        assert stats.invalid_records == 0
+    def test_absent_record_is_plain_miss(self, platform, tmp_path):
+        for record, store in _each_kind(platform, tmp_path):
+            assert record.load(store) is None
+            stats = store.stats()
+            assert stats.misses == 1
+            assert stats.invalid_records == 0
 
-    def test_truncated_record_recomputes_and_rewrites(self, store, platform):
-        spec = all_kernels()[0].base
-        key = _grid_key(platform, spec)
-        batch = platform.grid_sweep(spec)
-        store.save_batch(key, batch)
-        path = store.path_for(GRID_KIND, key)
-        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+    def test_truncated_record_recomputes_and_rewrites(self, platform,
+                                                      tmp_path):
+        """A record cut at every byte offset is an invalid miss, never a
+        partial hit; the caller's rewrite heals it."""
+        for record, store in _each_kind(platform, tmp_path):
+            assert record.save(store)
+            path = record.path(store)
+            full = path.read_bytes()
+            for offset in range(len(full)):
+                path.write_bytes(full[:offset])
+                assert record.load(store) is None, offset
+            stats = store.stats()
+            assert stats.invalid_records == len(full)
+            assert stats.hits == 0
+            # The caller's recompute-and-rewrite heals the record.
+            assert record.save(store)
+            _assert_served(record, record.load(store))
 
-        assert store.load_batch(key) is None
-        assert store.stats().invalid_records == 1
-        # The caller's recompute-and-rewrite heals the record.
-        store.save_batch(key, batch)
-        healed = store.load_batch(key)
-        assert healed is not None
-        _assert_batches_bitwise_equal(batch, healed)
+    def test_corrupted_record_is_invalid_miss(self, platform, tmp_path):
+        """Garbage and a zip archive (the ``np.savez`` layout) of the
+        record's own contents both lack the container magic."""
+        for record, store in _each_kind(platform, tmp_path):
+            record.save(store)
+            path = record.path(store)
+            kind = path.name.split("-")[0]
+            arrays, meta = store.load_record(kind, record.key)
+            zipped = io.BytesIO()
+            np.savez(zipped, __meta__=np.array(json.dumps(meta)), **arrays)
+            for invalid, payload in enumerate(
+                    (b"\x00" * 100, zipped.getvalue()), start=1):
+                path.write_bytes(payload)
+                assert record.load(store) is None
+                assert store.stats().invalid_records == invalid
 
-    def test_corrupted_record_is_invalid_miss(self, store, platform):
-        spec = all_kernels()[0].base
-        key = _grid_key(platform, spec)
-        store.save_batch(key, platform.grid_sweep(spec))
-        path = store.path_for(GRID_KIND, key)
-        path.write_bytes(b"\x00" * 100)
-        assert store.load_batch(key) is None
-        assert store.stats().invalid_records == 1
+    def test_foreign_schema_is_miss(self, platform, tmp_path, monkeypatch):
+        for record, store in _each_kind(platform, tmp_path):
+            monkeypatch.setattr(store_module, "STORE_SCHEMA_VERSION", 999)
+            record.save(store)
+            monkeypatch.undo()
+            assert record.load(store) is None
+            assert store.stats().invalid_records == 1
 
-    def test_foreign_schema_is_miss(self, store, platform, monkeypatch):
-        spec = all_kernels()[0].base
-        key = _grid_key(platform, spec)
-        batch = platform.grid_sweep(spec)
-        monkeypatch.setattr(store_module, "STORE_SCHEMA_VERSION", 999)
-        store.save_batch(key, batch)
-        monkeypatch.undo()
-        assert store.load_batch(key) is None
-        assert store.stats().invalid_records == 1
-
-    def test_wrong_kind_record_is_miss(self, store, platform):
+    def test_wrong_kind_record_is_miss(self, store, eventsim):
         """A record copied under another kind's address fails the
         digest self-check."""
-        spec = all_kernels()[0].base
-        key = _grid_key(platform, spec)
-        store.save_batch(key, platform.grid_sweep(spec))
-        impostor = store.path_for("other", key)
-        impostor.write_bytes(store.path_for(GRID_KIND, key).read_bytes())
-        assert store.load_record("other", key) is None
+        eventsim.save(store)
+        impostor = store.path_for(RESULT_KIND, eventsim.key)
+        impostor.write_bytes(eventsim.path(store).read_bytes())
+        assert store.load_record(RESULT_KIND, eventsim.key) is None
         assert store.stats().invalid_records == 1
 
-    def test_write_failure_degrades_silently(self, store, platform,
+    def test_write_failure_degrades_silently(self, platform, tmp_path,
                                              monkeypatch):
-        spec = all_kernels()[0].base
-        key = _grid_key(platform, spec)
-        batch = platform.grid_sweep(spec)
-
         def boom(*args, **kwargs):
             raise OSError("disk full")
 
-        monkeypatch.setattr(store_module.os, "replace", boom)
-        assert store.save_batch(key, batch) is False
-        monkeypatch.undo()
-        assert store.load_batch(key) is None  # nothing was published
+        for record, store in _each_kind(platform, tmp_path):
+            monkeypatch.setattr(store_module.os, "replace", boom)
+            assert record.save(store) is False
+            monkeypatch.undo()
+            assert record.load(store) is None  # nothing was published
+            assert list(store.root.iterdir()) == []
 
     def test_semantically_broken_record_demoted_to_miss(self, tmp_path,
                                                         platform):
-        """A well-formed record whose arrays do not form a grid is an
-        invalid miss in the stats and in every telemetry counter, on the
-        eager and the mmap load path alike."""
-        spec = all_kernels()[0].base
-        key = _grid_key(platform, spec)
-        for mmap in (False, True):
+        """A well-formed record its decoder rejects is an invalid miss
+        in the stats and in every telemetry counter."""
+        broken = (
+            (EVENTSIM_KIND, {"time": np.zeros(3, dtype=np.float64)}, {}),
+            (EVENTSIM_KIND, {"time": np.zeros(27, dtype=np.float32)}, {}),
+            (EVENTSIM_KIND, {"other": np.zeros(27)}, {}),
+            (RESULT_KIND, {}, {"node": "fig10_ed2", "report": 12}),
+            (RESULT_KIND, {}, {"node": "fig10_ed2"}),
+        )
+        for case, (kind, arrays, meta) in enumerate(broken):
+            record = (EventsimRecord(platform) if kind == EVENTSIM_KIND
+                      else ResultRecord())
             telemetry = Telemetry()
-            store = SweepStore(tmp_path / f"store-{mmap}",
+            store = SweepStore(tmp_path / f"store-{case}",
                                telemetry=telemetry)
-            store.save_record(GRID_KIND, key,
-                              {"time": np.zeros(3, dtype=np.float64)})
-            assert store.load_batch(key, mmap=mmap) is None
+            store.save_record(kind, record.key, arrays, meta=meta)
+            assert record.load(store) is None, case
             stats = store.stats()
             assert stats.hits == 0
             assert stats.misses == 1
@@ -266,9 +333,9 @@ class TestRobustness:
             assert stats.bytes_read == 0
             metrics = telemetry.metrics
             assert metrics.counter("sweep_store_hits_total", "").value(
-                kind=GRID_KIND) == 0.0
+                kind=kind) == 0.0
             assert metrics.counter("sweep_store_misses_total", "").value(
-                kind=GRID_KIND) == 1.0
+                kind=kind) == 1.0
             assert metrics.counter("sweep_store_bytes", "").value(
                 direction="read") == 0.0
 
@@ -296,36 +363,58 @@ class TestGenericRecords:
         assert store.load_record("a", key) is not None
 
 
+# --- the process's store -----------------------------------------------------------
+
+
+class TestAttachedStore:
+    def test_attach_then_detach(self, store):
+        previous = attached_store()
+        try:
+            attach_store(store)
+            assert attached_store() is store
+            attach_store(None)
+            assert attached_store() is None
+        finally:
+            attach_store(previous)
+
+    def test_grid_surfaces_are_never_persisted(self, store, fresh_platform):
+        """With a store attached, full-grid sweeps stay in memory."""
+        previous = attached_store()
+        try:
+            attach_store(store)
+            fresh_platform.grid_sweep(all_kernels()[0].base)
+        finally:
+            attach_store(previous)
+        assert list(store.root.iterdir()) == []
+        assert store.stats() == (0, 0, 0, 0, 0)
+
+
 # --- statistics and telemetry ----------------------------------------------------
 
 
 class TestAccounting:
-    def test_stats_count_bytes(self, store, platform):
-        spec = all_kernels()[0].base
-        key = _grid_key(platform, spec)
-        store.save_batch(key, platform.grid_sweep(spec))
-        store.load_batch(key)
+    def test_stats_count_bytes(self, store, eventsim):
+        eventsim.save(store)
+        eventsim.load(store)
         stats = store.stats()
         assert stats.hits == 1
         assert stats.bytes_written > 0
         assert stats.bytes_read == stats.bytes_written
 
-    def test_telemetry_counters_and_spans(self, tmp_path, platform):
+    def test_telemetry_counters_and_spans(self, tmp_path, eventsim):
         telemetry = Telemetry()
         store = SweepStore(tmp_path / "s", telemetry=telemetry)
-        spec = all_kernels()[0].base
-        key = _grid_key(platform, spec)
-        store.load_batch(key)  # miss
-        store.save_batch(key, platform.grid_sweep(spec))
-        store.load_batch(key)  # hit
+        eventsim.load(store)  # miss
+        eventsim.save(store)
+        eventsim.load(store)  # hit
 
         metrics = telemetry.metrics
         assert metrics.counter(
             "sweep_store_hits_total", "",
-        ).value(kind=GRID_KIND) == 1.0
+        ).value(kind=EVENTSIM_KIND) == 1.0
         assert metrics.counter(
             "sweep_store_misses_total", "",
-        ).value(kind=GRID_KIND) == 1.0
+        ).value(kind=EVENTSIM_KIND) == 1.0
         read = metrics.counter("sweep_store_bytes", "").value(
             direction="read")
         written = metrics.counter("sweep_store_bytes", "").value(
@@ -337,48 +426,48 @@ class TestAccounting:
 
 
 class TestConcurrency:
-    def test_racing_thread_writers_converge(self, store, platform):
-        spec = all_kernels()[0].base
-        key = _grid_key(platform, spec)
-        batch = platform.grid_sweep(spec)
-        errors = []
+    def test_racing_thread_writers_converge(self, platform, tmp_path):
+        for record, store in _each_kind(platform, tmp_path):
+            errors = []
 
-        def worker():
-            try:
-                for _ in range(5):
-                    assert store.save_batch(key, batch)
-                    loaded = store.load_batch(key)
-                    if loaded is not None:
-                        np.testing.assert_array_equal(batch.time, loaded.time)
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
+            def worker():
+                try:
+                    for _ in range(5):
+                        assert record.save(store)
+                        loaded = record.load(store)
+                        if loaded is not None:
+                            _assert_served(record, loaded)
+                except Exception as exc:  # pragma: no cover - failure path
+                    errors.append(exc)
 
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        records = [p for p in store.root.iterdir() if ".tmp" not in p.name]
-        assert len(records) == 1
-        final = store.load_batch(key)
-        _assert_batches_bitwise_equal(batch, final)
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert not errors
+            assert store.stats().invalid_records == 0
+            records = [p for p in store.root.iterdir()
+                       if ".tmp" not in p.name]
+            assert len(records) == 1
+            _assert_served(record, record.load(store))
 
     def test_two_processes_converge(self, tmp_path, platform):
-        """Two separate interpreters writing the same key publish one
-        valid record, bitwise equal to an in-process sweep."""
+        """Two separate interpreters writing the same keys publish one
+        valid record per key, bitwise equal to the in-process values."""
         root = tmp_path / "shared-store"
         script = (
             "import sys\n"
+            "sys.path.insert(0, 'tests')\n"
             "from repro.platform.hd7970 import make_hd7970_platform\n"
             "from repro.platform.store import SweepStore\n"
-            "from repro.workloads.registry import all_kernels\n"
-            "platform = make_hd7970_platform()\n"
-            "spec = all_kernels()[0].base\n"
+            "from test_store import EventsimRecord, ResultRecord\n"
             "store = SweepStore(sys.argv[1])\n"
-            "key = platform.sweep_cache_key(spec)\n"
-            "assert store.save_batch(key, platform.grid_sweep(spec))\n"
-            "assert store.load_batch(key) is not None\n"
+            "for record in (EventsimRecord(make_hd7970_platform()),\n"
+            "               ResultRecord()):\n"
+            "    for _ in range(20):\n"
+            "        assert record.save(store)\n"
+            "        assert record.load(store) is not None\n"
         )
         procs = [
             subprocess.Popen(
@@ -391,213 +480,13 @@ class TestConcurrency:
         for proc in procs:
             assert proc.wait(timeout=120) == 0
 
-        spec = all_kernels()[0].base
         store = SweepStore(root)
-        loaded = store.load_batch(platform.sweep_cache_key(spec))
-        assert loaded is not None
-        _assert_batches_bitwise_equal(platform.grid_sweep(spec), loaded)
+        assert sorted(p.name.split("-")[0] for p in root.iterdir()) == [
+            EVENTSIM_KIND, RESULT_KIND]
+        for record in (EventsimRecord(platform), ResultRecord()):
+            _assert_served(record, record.load(store))
 
 
 def _clean_env():
     import os
     return {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-
-
-# --- the two-tier cache ----------------------------------------------------------
-
-
-class TestTwoTierCache:
-    def test_write_through_and_cross_instance_warm_start(self, tmp_path,
-                                                         fresh_platform):
-        spec = all_kernels()[0].base
-        store = SweepStore(tmp_path / "s")
-        first = SweepCache(store=store)
-        batch = fresh_platform.grid_sweep(spec, cache=first)
-        assert first.stats().memory == (0, 1)
-        assert first.stats().store == (0, 1)  # cold store missed first
-
-        # A second cache instance (a "second process") never computes.
-        second = SweepCache(store=store)
-        served = second.get_or_compute(
-            fresh_platform.sweep_cache_key(spec),
-            compute=lambda: pytest.fail("store should have served this"),
-        )
-        _assert_batches_bitwise_equal(batch, served)
-        assert second.stats().memory == (0, 1)
-        assert second.stats().store == (1, 0)
-        # The store hit was promoted into the memory tier.
-        second.get_or_compute(
-            fresh_platform.sweep_cache_key(spec),
-            compute=lambda: pytest.fail("memory should have served this"),
-        )
-        assert second.stats().memory == (1, 1)
-
-    def test_get_consults_store(self, tmp_path, fresh_platform):
-        spec = all_kernels()[1].base
-        store = SweepStore(tmp_path / "s")
-        key = fresh_platform.sweep_cache_key(spec)
-        store.save_batch(key, fresh_platform.grid_sweep(spec))
-        cache = SweepCache(store=store)
-        assert cache.get(key) is not None
-        assert cache.stats().store == (1, 0)
-        assert cache.get(key) is not None  # now from memory
-        assert cache.stats().memory == (1, 1)
-
-    def test_detach_store_runs_memory_only(self, tmp_path, fresh_platform):
-        spec = all_kernels()[0].base
-        store = SweepStore(tmp_path / "s")
-        cache = SweepCache(store=store)
-        cache.detach_store()
-        fresh_platform.grid_sweep(spec, cache=cache)
-        assert cache.stats().store == (0, 0)
-        assert not any(store.root.iterdir())
-
-    def test_memory_clear_then_store_serves(self, tmp_path, fresh_platform):
-        spec = all_kernels()[0].base
-        cache = SweepCache(store=SweepStore(tmp_path / "s"))
-        batch = fresh_platform.grid_sweep(spec, cache=cache)
-        cache.clear()
-        again = fresh_platform.grid_sweep(spec, cache=cache)
-        _assert_batches_bitwise_equal(batch, again)
-        assert cache.stats().store == (1, 1)
-
-    def test_corrupted_store_record_recomputed_and_healed(
-            self, tmp_path, fresh_platform):
-        spec = all_kernels()[0].base
-        store = SweepStore(tmp_path / "s")
-        cache = SweepCache(store=store)
-        key = fresh_platform.sweep_cache_key(spec)
-        batch = fresh_platform.grid_sweep(spec, cache=cache)
-        path = store.path_for(GRID_KIND, key)
-        # A zip archive holding the record's own arrays (the ``np.savez``
-        # layout) is not a raw container, so it is as invalid as garbage.
-        arrays, meta = store.load_record(GRID_KIND, key)
-        zipped = io.BytesIO()
-        np.savez(zipped, __meta__=np.array(json.dumps(meta)), **arrays)
-        for invalid, payload in enumerate((b"garbage", zipped.getvalue()),
-                                          start=1):
-            path.write_bytes(payload)
-            cache.clear()
-
-            again = fresh_platform.grid_sweep(spec, cache=cache)
-            _assert_batches_bitwise_equal(batch, again)
-            assert store.stats().invalid_records == invalid
-            # ... and the write-through healed the record on disk.
-            healed = store.load_batch(key)
-            assert healed is not None
-            _assert_batches_bitwise_equal(batch, healed)
-
-    def test_publish_emits_per_tier_counters(self, tmp_path, fresh_platform):
-        spec = all_kernels()[0].base
-        cache = SweepCache(store=SweepStore(tmp_path / "s"))
-        fresh_platform.grid_sweep(spec, cache=cache)
-        fresh_platform.grid_sweep(spec, cache=cache)
-        telemetry = Telemetry()
-        cache.publish(telemetry)
-        hits = telemetry.metrics.counter("sweep_cache_hits_total", "")
-        misses = telemetry.metrics.counter("sweep_cache_misses_total", "")
-        assert hits.value(tier="memory") == 1.0
-        assert misses.value(tier="memory") == 1.0
-        assert misses.value(tier="store") == 1.0
-        assert hits.value(tier="store") == 0.0
-
-
-# --- zero-copy (memory-mapped) loads ----------------------------------------------
-
-
-class TestMmapLoads:
-    def test_mmap_round_trip_is_bitwise(self, store, fresh_platform):
-        spec = all_kernels()[0].base
-        batch = fresh_platform.grid_sweep(spec)
-        key = _grid_key(fresh_platform, spec)
-        store.save_batch(key, batch)
-        loaded = store.load_batch(key, mmap=True)
-        assert isinstance(loaded.time, np.memmap)
-        assert isinstance(loaded.gpu_power, np.memmap)
-        _assert_batches_bitwise_equal(batch, loaded)
-        assert store.stats().mmap_hits == 1
-        assert store.stats().hits == 1
-
-    def test_release_hook_materializes_and_is_idempotent(
-            self, store, fresh_platform):
-        spec = all_kernels()[1].base
-        key = _grid_key(fresh_platform, spec)
-        batch = fresh_platform.grid_sweep(spec)
-        store.save_batch(key, batch)
-        loaded = store.load_batch(key, mmap=True)
-        before = np.array(loaded.time)
-        loaded.release_mmap()
-        assert not isinstance(loaded.time, np.memmap)
-        np.testing.assert_array_equal(loaded.time, before)
-        _assert_batches_bitwise_equal(batch, loaded)
-        loaded.release_mmap()  # second demote is a no-op
-
-    def test_eager_loads_carry_no_release_hook(self, store, fresh_platform):
-        spec = all_kernels()[0].base
-        key = _grid_key(fresh_platform, spec)
-        store.save_batch(key, fresh_platform.grid_sweep(spec))
-        loaded = store.load_batch(key)  # mmap not requested
-        assert not isinstance(loaded.time, np.memmap)
-        assert not hasattr(loaded, "release_mmap")
-        assert store.stats().mmap_hits == 0
-
-    def test_absent_and_corrupt_records_stay_misses(
-            self, store, fresh_platform):
-        spec = all_kernels()[0].base
-        key = _grid_key(fresh_platform, spec)
-        assert store.load_batch(key, mmap=True) is None
-        store.save_batch(key, fresh_platform.grid_sweep(spec))
-        store.path_for(GRID_KIND, key).write_bytes(b"garbage")
-        assert store.load_batch(key, mmap=True) is None
-        stats = store.stats()
-        assert stats.misses == 2
-        assert stats.invalid_records == 1
-        assert stats.mmap_hits == 0
-
-    def test_mmap_hit_emits_counter(self, tmp_path, fresh_platform):
-        telemetry = Telemetry()
-        store = SweepStore(tmp_path / "s", telemetry=telemetry)
-        spec = all_kernels()[0].base
-        key = _grid_key(fresh_platform, spec)
-        store.save_batch(key, fresh_platform.grid_sweep(spec))
-        store.load_batch(key, mmap=True)
-        counter = telemetry.metrics.counter(
-            "sweep_store_mmap_hits_total", "")
-        assert counter.value(kind=GRID_KIND) == 1.0
-
-    def test_cache_eviction_demotes_mapped_entry(
-            self, tmp_path, fresh_platform):
-        specs = [k.base for k in all_kernels()[:2]]
-        store = SweepStore(tmp_path / "s")
-        for spec in specs:
-            store.save_batch(_grid_key(fresh_platform, spec),
-                             fresh_platform.grid_sweep(spec))
-        cache = SweepCache(maxsize=1, store=store)
-        first = cache.get(_grid_key(fresh_platform, specs[0]))
-        assert isinstance(first.time, np.memmap)
-        held = np.array(first.time)
-        cache.get(_grid_key(fresh_platform, specs[1]))  # evicts first
-        assert not isinstance(first.time, np.memmap)
-        np.testing.assert_array_equal(first.time, held)
-
-    def test_cache_clear_demotes_mapped_entries(
-            self, tmp_path, fresh_platform):
-        spec = all_kernels()[0].base
-        store = SweepStore(tmp_path / "s")
-        store.save_batch(_grid_key(fresh_platform, spec),
-                         fresh_platform.grid_sweep(spec))
-        cache = SweepCache(store=store)
-        entry = cache.get(_grid_key(fresh_platform, spec))
-        assert isinstance(entry.time, np.memmap)
-        cache.clear()
-        assert not isinstance(entry.time, np.memmap)
-
-    def test_mmap_loads_off_reads_eagerly(self, tmp_path, fresh_platform):
-        spec = all_kernels()[0].base
-        store = SweepStore(tmp_path / "s")
-        store.save_batch(_grid_key(fresh_platform, spec),
-                         fresh_platform.grid_sweep(spec))
-        cache = SweepCache(store=store, mmap_loads=False)
-        entry = cache.get(_grid_key(fresh_platform, spec))
-        assert not isinstance(entry.time, np.memmap)
-        assert store.stats().mmap_hits == 0

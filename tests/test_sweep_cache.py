@@ -23,7 +23,7 @@ def test_miss_then_hit(fresh_platform, cache):
     first = fresh_platform.grid_sweep(spec, cache=cache)
     second = fresh_platform.grid_sweep(spec, cache=cache)
     assert second is first
-    assert cache.stats().memory == (1, 1)
+    assert cache.stats() == (1, 1)
     assert cache.hit_rate == 0.5
     assert len(cache) == 1
 
@@ -36,11 +36,11 @@ def test_keys_separate_kernels_and_calibrations(cache):
     hd.grid_sweep(spec_a, cache=cache)
     hd.grid_sweep(spec_b, cache=cache)
     pit.grid_sweep(spec_a, cache=cache)
-    assert cache.stats().memory == (0, 3)
+    assert cache.stats() == (0, 3)
     assert len(cache) == 3
     # Same calibration value -> same key, even across platform instances.
     make_hd7970_platform().grid_sweep(spec_a, cache=cache)
-    assert cache.stats().memory == (1, 3)
+    assert cache.stats() == (1, 3)
 
 
 def test_calibration_variant_misses(cache):
@@ -50,7 +50,7 @@ def test_calibration_variant_misses(cache):
     spec = all_kernels()[0].base
     plain.grid_sweep(spec, cache=cache)
     scaled.grid_sweep(spec, cache=cache)
-    assert cache.stats().memory == (0, 2)
+    assert cache.stats() == (0, 2)
     assert plain.sweep_cache_key(spec) != scaled.sweep_cache_key(spec)
 
 
@@ -63,7 +63,7 @@ def test_clear_and_eviction(fresh_platform):
     small.clear()
     assert len(small) == 0
     fresh_platform.grid_sweep(specs[0], cache=small)
-    assert small.stats().memory == (0, 4)
+    assert small.stats() == (0, 4)
 
 
 def test_thread_safety_under_concurrent_sweeps(fresh_platform):
@@ -85,6 +85,19 @@ def test_thread_safety_under_concurrent_sweeps(fresh_platform):
         t.join()
     assert not errors
     assert len(cache) == len(specs)
+
+
+def test_publish_emits_lookup_counters(fresh_platform, cache):
+    from repro.telemetry.handle import Telemetry
+
+    spec = all_kernels()[0].base
+    fresh_platform.grid_sweep(spec, cache=cache)
+    fresh_platform.grid_sweep(spec, cache=cache)
+    telemetry = Telemetry()
+    cache.publish(telemetry)
+    metrics = telemetry.metrics
+    assert metrics.counter("sweep_cache_hits_total", "").value() == 1.0
+    assert metrics.counter("sweep_cache_misses_total", "").value() == 1.0
 
 
 def test_shared_cache_is_process_wide():

@@ -13,6 +13,12 @@ when:
 * the dependency graph has a cycle (also enforced at runtime, but the
   lint catches it before anything runs);
 * a report node name collides with another node's report file stem;
+* an experiment module reads a shared node's payload off the context
+  (``context.evaluation``, ``context.training``, or a policy factory
+  built on the trained predictors) but a spec of that module does not
+  depend on that node, directly or through its deps — its manifest key
+  would not chain on the node, so a changed node could leave the report
+  served stale;
 * the registry's static policy matrix (``EVALUATION_POLICIES``) differs
   from ``fig10_13_evaluation.POLICIES``, or its static study names
   (``ABLATION_STUDIES``) differ from the names in
@@ -26,9 +32,11 @@ Run from the repository root:  python tools/check_experiment_registry.py
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import Callable, Iterable
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -41,6 +49,15 @@ EXPERIMENTS_DIR = REPO_ROOT / "src" / "repro" / "experiments"
 
 #: Modules in the package that are infrastructure, not experiments.
 HELPER_MODULES = {"__init__", "context", "registry"}
+
+#: Context members that read a shared node's payload, and that node.
+CONTEXT_READS = {
+    "evaluation": "evaluation",
+    "training": "training",
+    "harmonia_policy": "training",
+    "cg_only_policy": "training",
+    "dvfs_only_policy": "training",
+}
 
 #: Experiment modules whose data the registry mirrors statically; the
 #: registry must not import them.
@@ -85,6 +102,46 @@ def check_static_data() -> list:
     return errors
 
 
+def module_source(module: str) -> str:
+    """The source text of one experiments module."""
+    return (EXPERIMENTS_DIR / f"{module}.py").read_text()
+
+
+def check_context_reads(specs: Iterable,
+                        read_source: Callable[[str], str] = module_source
+                        ) -> list:
+    """Specs whose module reads a shared node off the context without
+    the spec depending on that node (directly or transitively)."""
+    specs = tuple(specs)
+    by_name = {spec.name: spec for spec in specs}
+
+    def upstream(name: str) -> set:
+        seen, stack = set(), [name]
+        while stack:
+            node = stack.pop()
+            if node not in seen:
+                seen.add(node)
+                spec = by_name.get(node)
+                stack.extend(spec.deps if spec is not None else ())
+        return seen
+
+    errors = []
+    for spec in specs:
+        members = set(re.findall(r"\bcontext\.(\w+)",
+                                 read_source(spec.module)))
+        reached = upstream(spec.name)
+        for member in sorted(members & set(CONTEXT_READS)):
+            node = CONTEXT_READS[member]
+            if node not in reached:
+                errors.append(
+                    f"node {spec.name!r}: module {spec.module!r} reads "
+                    f"context.{member} but the spec does not depend on "
+                    f"{node!r}; add it to deps so the manifest key chains "
+                    "on it"
+                )
+    return errors
+
+
 def check() -> list:
     errors = []
     specs = registry.all_specs()
@@ -123,6 +180,7 @@ def check() -> list:
     except AnalysisError as error:
         errors.append(f"dependency graph is not schedulable: {error}")
 
+    errors += check_context_reads(specs)
     return errors + check_static_data()
 
 
