@@ -172,6 +172,18 @@ class MonteCarloSummary:
         return geomean_band(rows, attribute)
 
 
+def _reference_run(summary: EvaluationSummary, application: str,
+                   policy: str) -> RunResult:
+    """The deterministic run of one (application, policy) pair."""
+    run = summary.runs.get(application, {}).get(policy)
+    if run is None:
+        raise AnalysisError(
+            f"reference evaluation has no run of {application!r} "
+            f"under policy {policy!r}"
+        )
+    return run
+
+
 class EvaluationHarness:
     """Runs the full policy-comparison matrix."""
 
@@ -305,6 +317,7 @@ class EvaluationHarness:
         noise_std_fraction: float = 0.05,
         jobs: int = 1,
         batched: bool = True,
+        references: Optional[EvaluationSummary] = None,
     ) -> MonteCarloSummary:
         """Run the matrix under repeated-trial measurement noise.
 
@@ -329,6 +342,14 @@ class EvaluationHarness:
                 engine before handing them to the vectorized noise
                 reduction (bitwise-identical; ``False`` forces scalar
                 reference runs).
+            references: an evaluation of the same applications and
+                policies on this platform (``context.evaluation``). Its
+                deterministic runs are the reference runs, so none is
+                recomputed; ``batched`` is then unused.
+
+        Raises:
+            AnalysisError: if ``references`` lacks a run of one of the
+                (application, policy) pairs.
         """
         if not applications:
             raise AnalysisError("no applications to evaluate")
@@ -338,18 +359,22 @@ class EvaluationHarness:
             baseline = baseline_factory()
             policies = [factory() for factory in policy_factories]
             lane_policies = (baseline, *policies)
-            references = None
-            if batched:
+            lane_runs = None
+            if references is not None:
+                lane_runs = [_reference_run(references, application.name,
+                                            policy.name)
+                             for policy in lane_policies]
+            elif batched:
                 from repro.runtime.session import (
                     BatchSessionRunner, SessionSpec,
                 )
                 session_runner = BatchSessionRunner(self._platform)
-                references = session_runner.run_sessions([
+                lane_runs = session_runner.run_sessions([
                     SessionSpec(application=application, policy=policy)
                     for policy in lane_policies
                 ])
             base_run, *cand_runs = engine.rollout(
-                application, lane_policies, references=references
+                application, lane_policies, references=lane_runs
             )
             return [
                 MonteCarloComparison(

@@ -163,14 +163,14 @@ def run_ci(context: ExperimentContext = None, seeds: int = 16,
     The paper's numbers average repeated hardware measurements; this is
     the reproduction's analogue — ``seeds`` Monte Carlo trials at
     ``noise_std_fraction`` run-to-run time noise, seed-paired against the
-    baseline, vectorized by the launch-keyed noise model.
+    baseline, vectorized by the launch-keyed noise model. The trials
+    perturb the deterministic runs of ``context.evaluation`` (built here
+    if it is not yet), so no reference run is computed twice.
     """
     context = context or default_context()
     harness = EvaluationHarness(context.platform, context.baseline_policy())
-    if jobs > 1:
-        # Train before fanning out, as context.evaluation does: the
-        # factories must all see the one shared training report.
-        _ = context.training
+    # Building context.evaluation trains first, so every factory below
+    # sees the one shared training report even when applications fan out.
     return harness.evaluate_montecarlo(
         context.applications,
         baseline_factory=context.baseline_policy,
@@ -182,6 +182,7 @@ def run_ci(context: ExperimentContext = None, seeds: int = 16,
         seeds=seeds,
         noise_std_fraction=noise_std_fraction,
         jobs=jobs,
+        references=context.evaluation,
     )
 
 

@@ -16,10 +16,12 @@ vector. The same launch therefore always sees the same multiplier — under
 any execution order, interleaving, thread count, or batch/scalar split —
 and scalar and batched noise are bitwise identical by construction.
 
-Every caller derives streams through :func:`derive_block`: the platform's
-:class:`LaunchKeyedNoise` asks for a block of one stream, the Monte Carlo
-engine for every ``(spec, iteration)`` of an application times every
-trial seed. The block's Philox keys come from :func:`philox_keys`, a
+Every caller derives streams through :func:`derive_normals`: the
+platform's :class:`LaunchKeyedNoise` asks (via :func:`derive_block`) for
+a block of one stream, the Monte Carlo engine for every ``(spec,
+iteration)`` of an application times every trial seed, gathering the
+launches it needs before scaling them with :func:`to_multipliers`. The
+block's Philox keys come from :func:`philox_keys`, a
 vectorized re-implementation of ``SeedSequence``'s fixed mixing hash
 (bitwise equal to ``SeedSequence(row).generate_state(2, np.uint64)``, the
 key ``Philox(SeedSequence(row))`` uses), and the draws from one shared
@@ -164,7 +166,6 @@ def philox_keys(rows: Sequence[Sequence[int]]) -> np.ndarray:
     return keys
 
 
-_ZERO_WORDS = np.zeros(4, dtype=np.uint64)
 # One Philox generator re-keyed per stream, built on first use so that
 # importing this module never loads ``numpy.random``.
 _draw_lock = threading.Lock()
@@ -174,38 +175,39 @@ _draw_pair: Optional[Tuple[object, object]] = None
 def _standard_normals(keys: np.ndarray, out: np.ndarray) -> None:
     """Fill ``out[i]`` with standard normals of the Philox stream keyed
     ``keys[i]`` at counter 0 — the draws a fresh
-    ``Generator(Philox(key=keys[i]))`` makes."""
+    ``Generator(Philox(key=keys[i]))`` makes.
+
+    The state mapping is built once; each row swaps in its key and
+    assigns the whole mapping, which resets the counter, the output
+    buffer and the buffered 32-bit half along with the key.
+    """
     global _draw_pair
+    zeros = (0, 0, 0, 0)
+    stream = {"counter": zeros, "key": None}
+    state = {"bit_generator": "Philox", "state": stream, "buffer": zeros,
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     with _draw_lock:
         if _draw_pair is None:
             bit_generator = np.random.Philox(0)
             _draw_pair = (bit_generator, np.random.Generator(bit_generator))
         bit_generator, generator = _draw_pair
-        for key, row in zip(keys, out):
-            bit_generator.state = {
-                "bit_generator": "Philox",
-                "state": {"counter": _ZERO_WORDS, "key": key},
-                "buffer": _ZERO_WORDS,
-                "buffer_pos": 4,
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
+        for key, row in zip(keys.tolist(), out):
+            stream["key"] = key
+            bit_generator.state = state
             generator.standard_normal(out=row)
 
 
-def derive_block(std_fraction: float, grid_size: int, seeds: Sequence[int],
-                 keys: Sequence[Tuple[KernelSpec, int]]
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Multipliers of every ``(spec, iteration)`` key at every seed.
+def derive_normals(grid_size: int, seeds: Sequence[int],
+                   keys: Sequence[Tuple[KernelSpec, int]]) -> np.ndarray:
+    """Raw standard normals of every ``(spec, iteration)`` key at every seed.
 
-    Stream ``(seed, spec, iteration)`` is the normal draw vector of
-    ``Philox(SeedSequence([seed, iteration, spec_entropy(spec)]))`` with
-    standard deviation ``std_fraction``, one draw per grid position.
+    Stream ``(seed, spec, iteration)`` is the standard normal draw vector
+    of ``Philox(SeedSequence([seed, iteration, spec_entropy(spec)]))``,
+    one draw per grid position.
 
     Returns:
-        ``(multipliers, clipped)``, each of shape
-        ``(len(keys), len(seeds), grid_size)``: ``max(NOISE_FLOOR, 1 +
-        draw)`` and the mask of draws that hit the floor.
+        A ``(len(keys), len(seeds), grid_size)`` float64 array; feed it
+        (or any gather of it) to :func:`to_multipliers`.
 
     Raises:
         ValueError: if a seed or iteration is negative.
@@ -215,12 +217,46 @@ def derive_block(std_fraction: float, grid_size: int, seeds: Sequence[int],
             for iteration, entropy in keyed for seed in seeds]
     block = np.empty((len(keys), len(seeds), grid_size))
     _standard_normals(philox_keys(rows), block.reshape(len(rows), grid_size))
-    # Generator.normal(0, std) returns 0.0 + std * z; dropping the 0.0
-    # leaves every 1.0 + draw bitwise unchanged.
-    block *= std_fraction
-    block += 1.0
-    clipped = block < NOISE_FLOOR
-    np.maximum(block, NOISE_FLOOR, out=block)
+    return block
+
+
+def to_multipliers(normals: np.ndarray, std_fraction: float) -> np.ndarray:
+    """Turn standard normals into noise multipliers, in place.
+
+    Each element becomes ``max(NOISE_FLOOR, 1 + std_fraction * z)``.
+    ``Generator.normal(0, std)`` returns ``0.0 + std * z``; dropping the
+    0.0 leaves every ``1.0 + draw`` bitwise unchanged. The transform is
+    elementwise, so gathering normals first and transforming the gather
+    gives the same values as gathering multipliers.
+
+    Returns:
+        The mask of elements that hit the floor.
+    """
+    normals *= std_fraction
+    normals += 1.0
+    clipped = normals < NOISE_FLOOR
+    np.maximum(normals, NOISE_FLOOR, out=normals)
+    return clipped
+
+
+def derive_block(std_fraction: float, grid_size: int, seeds: Sequence[int],
+                 keys: Sequence[Tuple[KernelSpec, int]]
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """Multipliers of every ``(spec, iteration)`` key at every seed.
+
+    :func:`derive_normals` scaled by :func:`to_multipliers`: stream
+    ``(seed, spec, iteration)`` with standard deviation ``std_fraction``.
+
+    Returns:
+        ``(multipliers, clipped)``, each of shape
+        ``(len(keys), len(seeds), grid_size)``: ``max(NOISE_FLOOR, 1 +
+        draw)`` and the mask of draws that hit the floor.
+
+    Raises:
+        ValueError: if a seed or iteration is negative.
+    """
+    block = derive_normals(grid_size, seeds, keys)
+    clipped = to_multipliers(block, std_fraction)
     return block, clipped
 
 

@@ -6,17 +6,21 @@ independent scalar harness runs — one noisy platform per seed, each
 re-walking every launch through Python. The launch-keyed noise model
 (:mod:`repro.platform.noise`) makes a far cheaper formulation exact:
 
-1. run each (application, policy) pair **once** on the deterministic
-   platform to record its launch schedule — the ordered
-   ``(spec, config, iteration)`` sequence with noise-free times and
-   powers (served from the shared sweep cache's surfaces wherever the
-   policy consults them);
+1. take each (application, policy) pair's **one** deterministic run —
+   its launch schedule, the ordered ``(spec, config, iteration)``
+   sequence with noise-free times and powers. ``evaluate --seeds`` hands
+   in the runs of the evaluation matrix it has already printed
+   (:meth:`~repro.analysis.evaluation.EvaluationHarness.evaluate_montecarlo`
+   with ``references=``); ``montecarlo`` runs them in lockstep on the
+   batched session engine; a bare :meth:`MonteCarloEngine.rollout`
+   without references runs the scalar loop;
 2. for every trial seed ``s``, perturb each scheduled launch's time with
    the keyed multiplier of platform seed ``s`` — one matrix of launch
    times over ``(seed, launch)``. All of an application's policies are
    rolled out together: the union of their ``(spec, iteration)`` keys is
-   derived once, for every seed, in bounded blocks (see
-   :meth:`MonteCarloEngine.rollout`);
+   derived once, for every seed, in bounded blocks of raw normals; each
+   policy gathers its launches' normals and only the gathered matrix is
+   scaled to multipliers (see :meth:`MonteCarloEngine.rollout`);
 3. reduce each seed's row to run metrics (time, energy, power, ED²) and
    report mean / standard deviation / 95% confidence bands.
 
@@ -42,7 +46,7 @@ import numpy as np
 from repro.core.policy import PowerPolicy
 from repro.errors import AnalysisError
 from repro.platform.hd7970 import HardwarePlatform
-from repro.platform.noise import derive_block
+from repro.platform.noise import derive_normals, to_multipliers
 from repro.runtime.simulator import ApplicationRunner
 from repro.workloads.application import Application
 
@@ -233,8 +237,9 @@ class MonteCarloEngine:
         metrics — no per-seed re-execution of the policy loop. The noise
         is derived once for the union of the policies' ``(spec,
         iteration)`` keys, in blocks of at most :data:`_BLOCK_KEYS` keys
-        times every seed, and each block is dropped once every policy
-        has gathered from it.
+        times every seed, as raw standard normals; each block is dropped
+        once every policy has gathered from it, and each gathered matrix
+        is then scaled to multipliers in one pass.
 
         Under a traced run the whole rollout is one span (labelled by
         application and policies), attached to whatever span was open
@@ -248,9 +253,9 @@ class MonteCarloEngine:
             references: precomputed deterministic
                 :class:`~repro.runtime.simulator.RunResult` records of each
                 (application, policy) pair on the engine's platform —
-                the batched session engine supplies these so all
-                policies' reference runs advance in lockstep. ``None``
-                (or a ``None`` entry) runs the scalar reference here.
+                an evaluation matrix's runs, or the batched session
+                engine's lockstep lanes. ``None`` (or a ``None`` entry)
+                runs the scalar reference here.
         """
         from repro.telemetry.spans import ambient_telemetry
         with ambient_telemetry().span(
@@ -303,9 +308,8 @@ class MonteCarloEngine:
                        for records, _groups in schedules]
         for start in range(0, len(keys), _BLOCK_KEYS):
             chunk = keys[start:start + _BLOCK_KEYS]
-            block, _clipped = derive_block(
-                self._noise, len(space), self._seeds, chunk
-            )                                     # (key, seed, grid)
+            block = derive_normals(len(space), self._seeds,
+                                   chunk)         # (key, seed, grid)
             for k, key in enumerate(chunk):
                 draws = block[k]
                 for (_records, groups), matrix in zip(schedules,
@@ -314,6 +318,9 @@ class MonteCarloEngine:
                     if group is not None:
                         positions, grid_indices = group
                         matrix[:, positions] = draws[:, grid_indices]
+        # Scale only the gathered launches: the transform is elementwise.
+        for matrix in multipliers:
+            to_multipliers(matrix, self._noise)
 
         return tuple(
             self._reduce(application, policy, records, matrix)

@@ -12,6 +12,7 @@ by a raised wave cap.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import AnalysisError
 from repro.gpu.config import ConfigSpace, HardwareConfig
@@ -23,6 +24,10 @@ from repro.platform.calibration import (default_calibration,
                                         pitcairn_calibration)
 from repro.units import MHZ
 from repro.workloads.registry import all_kernels, get_kernel
+from tests.strategies import kernel_specs
+
+#: The HD7970 grid the generated lanes draw their configs from.
+_GRID = tuple(ConfigSpace(default_calibration().arch))
 
 
 def _models(calibration, **kwargs):
@@ -174,6 +179,25 @@ class TestEdgeLanes:
         results = batched.run_pairs(pairs)
         for (spec, cfg), result in zip(pairs, results):
             assert_bitwise_equal(result, scalar.run(spec, cfg), spec.name)
+
+
+class TestGeneratedLanes:
+    """Random kernel descriptors at random grid configs, one batch each."""
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        return _models(default_calibration())
+
+    @settings(deadline=None, max_examples=40)
+    @given(spec=kernel_specs(),
+           configs=st.lists(st.sampled_from(_GRID), min_size=1, max_size=4))
+    def test_batched_lanes_equal_scalar_runs(self, models, spec, configs):
+        scalar, batched = models
+        results = batched.run_pairs([(spec, config) for config in configs])
+        assert len(results) == len(configs)
+        for config, result in zip(configs, results):
+            assert_bitwise_equal(result, scalar.run(spec, config),
+                                 f"{spec!r} @ {config.describe()}")
 
 
 class TestBatchApi:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.evaluation import EvaluationHarness
+from repro.analysis.evaluation import EvaluationHarness, EvaluationSummary
 from repro.core.baseline import BaselinePolicy
 from repro.core.oracle import OraclePolicy
 from repro.errors import AnalysisError
@@ -247,6 +247,69 @@ class TestHarness:
             summary.for_policy("nonexistent")
         with pytest.raises(AnalysisError):
             summary.comparison("MaxFlops", "nonexistent")
+
+
+class TestEvaluationReferences:
+    """``references=`` reuses an evaluation's deterministic runs."""
+
+    APPS = ("MaxFlops", "BPT")
+
+    def _summarize(self, context, jobs, references=None):
+        if jobs > 1:
+            _ = context.training
+        harness = EvaluationHarness(context.platform,
+                                    context.baseline_policy())
+        return harness.evaluate_montecarlo(
+            [context.application(name) for name in self.APPS],
+            baseline_factory=context.baseline_policy,
+            policy_factories=[context.cg_only_policy,
+                              context.harmonia_policy,
+                              context.oracle_policy],
+            seeds=SEEDS,
+            noise_std_fraction=NOISE,
+            jobs=jobs,
+            references=references,
+        )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_matches_recomputed_references(self, context, jobs):
+        recomputed = self._summarize(context, jobs)
+        reused = self._summarize(context, jobs, context.evaluation)
+        assert len(reused.comparisons) == len(self.APPS) * 3
+        for a, b in zip(recomputed.comparisons, reused.comparisons):
+            assert (a.application, a.policy) == (b.application, b.policy)
+            for run_a, run_b in ((a.baseline, b.baseline),
+                                 (a.candidate, b.candidate)):
+                for field in ("time_samples", "energy_samples",
+                              "avg_power_samples", "ed2_samples"):
+                    np.testing.assert_array_equal(getattr(run_a, field),
+                                                  getattr(run_b, field))
+
+    def test_run_ci_runs_no_reference_lanes(self, context, monkeypatch):
+        from repro.experiments import fig10_13_evaluation
+        from repro.runtime.session import BatchSessionRunner
+
+        _ = context.evaluation
+        lanes = []
+        run_sessions = BatchSessionRunner.run_sessions
+
+        def counting(runner, specs):
+            lanes.extend(specs)
+            return run_sessions(runner, specs)
+
+        monkeypatch.setattr(BatchSessionRunner, "run_sessions", counting)
+        summary = fig10_13_evaluation.run_ci(context, seeds=2)
+        assert lanes == []
+        assert len(summary.comparisons) == 3 * len(context.applications)
+
+    def test_missing_run_is_named(self, context):
+        evaluation = context.evaluation
+        runs = {app: dict(per_app) for app, per_app in evaluation.runs.items()}
+        del runs["BPT"]["harmonia"]
+        partial = EvaluationSummary(comparisons=evaluation.comparisons,
+                                    runs=runs)
+        with pytest.raises(AnalysisError, match=r"'BPT'.*'harmonia'"):
+            self._summarize(context, 1, partial)
 
 
 class TestCli:

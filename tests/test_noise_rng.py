@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.platform import noise
 from repro.platform.hd7970 import make_hd7970_platform
 from repro.platform.noise import (
     NOISE_FLOOR,
@@ -178,6 +179,32 @@ class TestDerivationOracle:
                     0.5, seed, spec, iteration, 64)
                 np.testing.assert_array_equal(multipliers[k, s], want_m)
                 np.testing.assert_array_equal(clipped[k, s], want_c)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(st.integers(min_value=0, max_value=2**64),
+                                st.integers(min_value=0, max_value=2**40),
+                                st.integers(min_value=0,
+                                            max_value=2**128 - 1)),
+                      min_size=1, max_size=6),
+        width=st.integers(min_value=1, max_value=64),
+        leftover=st.integers(min_value=0, max_value=7),
+    )
+    def test_rekeyed_rows_equal_fresh_generators(self, rows, width, leftover):
+        """Each re-keyed row is a fresh ``Generator(Philox(SeedSequence))``
+        draw, whatever state the shared generator was left in."""
+        noise._standard_normals(philox_keys([(0,)]), np.empty((1, 1)))
+        bit_generator, generator = noise._draw_pair
+        # Leave the shared generator mid-stream: a buffered 32-bit half
+        # (has_uint32), a part-used output buffer and an advanced counter.
+        generator.integers(0, 2**32, size=2 * leftover + 1, dtype=np.uint32)
+        bit_generator.random_raw(leftover)
+        out = np.empty((len(rows), width))
+        noise._standard_normals(philox_keys(rows), out)
+        for row, got in zip(rows, out):
+            fresh = np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(list(row))))
+            np.testing.assert_array_equal(got, fresh.standard_normal(width))
 
     def test_shared_generator_under_thread_contention(self):
         """Concurrent derives re-key the one generator without mixing

@@ -1,5 +1,6 @@
 """Unit tests for :mod:`repro.platform` (the test-bed facade)."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -7,7 +8,7 @@ from repro.gpu.config import HardwareConfig
 from repro.platform.calibration import default_calibration
 from repro.platform.hd7970 import HardwarePlatform, make_hd7970_platform
 from repro.units import GHZ, MHZ
-from repro.workloads.registry import get_kernel
+from repro.workloads.registry import all_kernels, get_kernel
 
 SPEC = get_kernel("MaxFlops.MaxFlops").base
 
@@ -84,6 +85,33 @@ class TestNoise:
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
             HardwarePlatform(noise_std_fraction=-0.1)
+
+
+class TestClockMonotonicity:
+    """Metamorphic: a faster clock never makes a launch slower.
+
+    Checked on every grid neighbour pair of all 25 kernels' surfaces.
+    (More CUs may slow a launch — the L2-thrash term — so the CU axis is
+    not pinned.)
+    """
+
+    @pytest.mark.parametrize("axis, knob", [(1, "f_cu"), (2, "f_mem")])
+    def test_time_never_rises_with_a_higher_clock(self, platform, axis,
+                                                  knob):
+        space = platform.config_space
+        axes = (space.cu_counts, space.compute_frequencies,
+                space.memory_frequencies)
+        index = np.array([[[space.index_of(HardwareConfig(n_cu, f_cu, f_mem))
+                            for f_mem in axes[2]] for f_cu in axes[1]]
+                          for n_cu in axes[0]])
+        for kernel in all_kernels():
+            times = platform.launch_surface(kernel.base).time[index]
+            rises = np.argwhere(np.diff(times, axis=axis) > 0)
+            assert rises.size == 0, (
+                f"{kernel.name}: time rises with a higher {knob} above "
+                f"n_cu={axes[0][rises[0][0]]}, f_cu={axes[1][rises[0][1]]}, "
+                f"f_mem={axes[2][rises[0][2]]}"
+            )
 
 
 class TestCalibrationAnchors:
