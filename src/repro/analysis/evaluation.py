@@ -22,12 +22,13 @@ from repro.runtime.montecarlo import (
     geomean_band,
 )
 from repro.runtime.parallel import fan_out
-from repro.runtime.simulator import ApplicationRunner, RunResult
+from repro.runtime.session import BatchSessionRunner, SessionSpec
+from repro.runtime.simulator import RunResult
 from repro.workloads.application import Application
 from repro.workloads.registry import STRESS_BENCHMARKS
 
 #: A zero-argument constructor of a fresh policy instance, used to give
-#: each parallel worker its own stateful policy.
+#: every application its own stateful policy.
 PolicyFactory = Callable[[], PowerPolicy]
 
 
@@ -185,120 +186,63 @@ def _reference_run(summary: EvaluationSummary, application: str,
 
 
 class EvaluationHarness:
-    """Runs the full policy-comparison matrix."""
+    """Runs the full policy-comparison matrix on the batched engine.
+
+    Every application's baseline and candidates advance in lockstep as
+    the lanes of one :meth:`~repro.runtime.session.BatchSessionRunner.
+    run_sessions` call. Policies carry per-run history
+    (:class:`~repro.core.policy.HistoryMixin`), so each application gets
+    fresh instances from the factories: concurrent applications never
+    share one, and a fresh instance is equivalent to a reset one.
+    Applications fan out over ``jobs`` threads and results are assembled
+    in application order, so every summary is independent of ``jobs``.
+
+    Args:
+        platform: the test bed.
+        baseline_factory: constructor of fresh baseline policies.
+    """
 
     def __init__(self, platform: HardwarePlatform,
-                 baseline_policy: PowerPolicy):
+                 baseline_factory: PolicyFactory):
         self._platform = platform
-        self._runner = ApplicationRunner(platform)
-        self._baseline = baseline_policy
+        self._baseline_factory = baseline_factory
+
+    def _lane_policies(self, policy_factories: Sequence[PolicyFactory]
+                       ) -> List[PowerPolicy]:
+        """Fresh baseline + candidate instances for one application."""
+        return [self._baseline_factory(),
+                *(factory() for factory in policy_factories)]
 
     def evaluate(self, applications: Sequence[Application],
-                 policies: Sequence[PowerPolicy],
-                 batched: bool = True) -> EvaluationSummary:
+                 policy_factories: Sequence[PolicyFactory],
+                 jobs: int = 1) -> EvaluationSummary:
         """Run baseline + candidates over all applications.
 
         Args:
             applications: workloads to evaluate.
-            policies: candidate policies (the baseline is implicit).
-            batched: advance each application's baseline + candidates in
-                lockstep via the batched session engine
-                (:mod:`repro.runtime.session`). Bitwise-identical to the
-                scalar loop; lanes the engine cannot prove equivalent
-                fall back automatically. ``False`` forces the scalar
-                path (the differential-testing oracle).
-        """
-        if not applications:
-            raise AnalysisError("no applications to evaluate")
-        comparisons: List[ApplicationComparison] = []
-        runs: Dict[str, Dict[str, RunResult]] = {}
-        session_runner = None
-        if batched:
-            from repro.runtime.session import BatchSessionRunner, SessionSpec
-            session_runner = BatchSessionRunner(self._platform)
-        for application in applications:
-            if session_runner is not None:
-                lane_policies = [self._baseline, *policies]
-                outcomes = session_runner.run_sessions([
-                    SessionSpec(application=application, policy=policy)
-                    for policy in lane_policies
-                ])
-                base_run, policy_runs = outcomes[0], outcomes[1:]
-            else:
-                base_run = self._runner.run(application, self._baseline)
-                policy_runs = [self._runner.run(application, policy)
-                               for policy in policies]
-            per_app: Dict[str, RunResult] = {self._baseline.name: base_run}
-            for policy, run in zip(policies, policy_runs):
-                per_app[policy.name] = run
-                comparisons.append(ApplicationComparison(
-                    application=application.name,
-                    policy=policy.name,
-                    baseline=base_run.metrics,
-                    candidate=run.metrics,
-                ))
-            runs[application.name] = per_app
-        return EvaluationSummary(comparisons=tuple(comparisons), runs=runs)
-
-    def evaluate_parallel(
-        self,
-        applications: Sequence[Application],
-        baseline_factory: PolicyFactory,
-        policy_factories: Sequence[PolicyFactory],
-        jobs: int = 1,
-        batched: bool = True,
-    ) -> EvaluationSummary:
-        """Run the matrix with applications fanned out over threads.
-
-        Policies carry per-run history (:class:`~repro.core.policy.
-        HistoryMixin`), so sharing one instance across concurrent
-        applications would race. Instead each application gets fresh
-        instances from the factories — equivalent to the serial harness,
-        which resets every policy between applications — and results are
-        assembled in application order, so the summary is identical to
-        :meth:`evaluate` on a deterministic platform.
-
-        Args:
-            applications: workloads to evaluate.
-            baseline_factory: constructor of fresh baseline policies.
-            policy_factories: constructors of fresh candidate policies.
+            policy_factories: constructors of fresh candidate policies
+                (the baseline is implicit).
             jobs: maximum concurrent application evaluations.
-            batched: advance each application's policies in lockstep via
-                the batched session engine (bitwise-identical; ``False``
-                forces the scalar loop).
         """
         if not applications:
             raise AnalysisError("no applications to evaluate")
 
         def evaluate_app(application: Application):
-            baseline = baseline_factory()
-            policies = [factory() for factory in policy_factories]
-            if batched:
-                from repro.runtime.session import (
-                    BatchSessionRunner, SessionSpec,
-                )
-                engine = BatchSessionRunner(self._platform)
-                outcomes = engine.run_sessions([
-                    SessionSpec(application=application, policy=policy)
-                    for policy in (baseline, *policies)
-                ])
-                base_run, policy_runs = outcomes[0], outcomes[1:]
-            else:
-                runner = ApplicationRunner(self._platform)
-                base_run = runner.run(application, baseline)
-                policy_runs = [runner.run(application, policy)
-                               for policy in policies]
-            per_app: Dict[str, RunResult] = {self._baseline.name: base_run}
-            comps: List[ApplicationComparison] = []
-            for policy, run in zip(policies, policy_runs):
-                per_app[policy.name] = run
-                comps.append(ApplicationComparison(
+            lane_runs = BatchSessionRunner(self._platform).run_sessions([
+                SessionSpec(application=application, policy=policy)
+                for policy in self._lane_policies(policy_factories)
+            ])
+            base_run = lane_runs[0]
+            comps = [
+                ApplicationComparison(
                     application=application.name,
-                    policy=policy.name,
+                    policy=run.policy,
                     baseline=base_run.metrics,
                     candidate=run.metrics,
-                ))
-            return per_app, comps
+                )
+                for run in lane_runs[1:]
+            ]
+            return {run.policy: run for run in lane_runs}, comps
 
         outcomes = fan_out(evaluate_app, applications, jobs=jobs)
         comparisons: List[ApplicationComparison] = []
@@ -311,12 +255,10 @@ class EvaluationHarness:
     def evaluate_montecarlo(
         self,
         applications: Sequence[Application],
-        baseline_factory: PolicyFactory,
         policy_factories: Sequence[PolicyFactory],
         seeds: "int | Sequence[int]" = 16,
         noise_std_fraction: float = 0.05,
         jobs: int = 1,
-        batched: bool = True,
         references: Optional[EvaluationSummary] = None,
     ) -> MonteCarloSummary:
         """Run the matrix under repeated-trial measurement noise.
@@ -327,25 +269,19 @@ class EvaluationHarness:
         — the launch-keyed noise model guarantees each trial matches the
         scalar noisy run at the same platform seed. Baseline and
         candidate share seeds, so the reported improvement bands are
-        paired. Applications fan out over ``jobs`` threads with fresh
-        policy instances, serial-exact like :meth:`evaluate_parallel`.
+        paired. Applications fan out as in :meth:`evaluate`.
 
         Args:
             applications: workloads to evaluate.
-            baseline_factory: constructor of fresh baseline policies.
             policy_factories: constructors of fresh candidate policies.
             seeds: trial platform seeds — an int N means ``range(N)``.
             noise_std_fraction: per-trial execution-time noise fraction.
             jobs: maximum concurrent application evaluations.
-            batched: compute all policies' deterministic reference runs
-                per application in lockstep via the batched session
-                engine before handing them to the vectorized noise
-                reduction (bitwise-identical; ``False`` forces scalar
-                reference runs).
             references: an evaluation of the same applications and
                 policies on this platform (``context.evaluation``). Its
                 deterministic runs are the reference runs, so none is
-                recomputed; ``batched`` is then unused.
+                recomputed; without it the engine runs them as batched
+                lanes.
 
         Raises:
             AnalysisError: if ``references`` lacks a run of one of the
@@ -356,23 +292,12 @@ class EvaluationHarness:
         engine = MonteCarloEngine(self._platform, noise_std_fraction, seeds)
 
         def evaluate_app(application: Application):
-            baseline = baseline_factory()
-            policies = [factory() for factory in policy_factories]
-            lane_policies = (baseline, *policies)
+            lane_policies = self._lane_policies(policy_factories)
             lane_runs = None
             if references is not None:
                 lane_runs = [_reference_run(references, application.name,
                                             policy.name)
                              for policy in lane_policies]
-            elif batched:
-                from repro.runtime.session import (
-                    BatchSessionRunner, SessionSpec,
-                )
-                session_runner = BatchSessionRunner(self._platform)
-                lane_runs = session_runner.run_sessions([
-                    SessionSpec(application=application, policy=policy)
-                    for policy in lane_policies
-                ])
             base_run, *cand_runs = engine.rollout(
                 application, lane_policies, references=lane_runs
             )

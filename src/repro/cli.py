@@ -318,10 +318,9 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     if args.jobs > 1 and args.policy not in ("baseline", "oracle"):
         # Train before fanning out so every worker sees one shared report.
         _ = context.training
-    harness = EvaluationHarness(context.platform, context.baseline_policy())
+    harness = EvaluationHarness(context.platform, context.baseline_policy)
     summary = harness.evaluate_montecarlo(
         apps,
-        baseline_factory=context.baseline_policy,
         policy_factories=[factories[args.policy]],
         seeds=args.seeds,
         noise_std_fraction=args.noise,

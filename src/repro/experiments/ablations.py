@@ -13,14 +13,15 @@ measurable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from functools import partial
+from typing import Callable, Tuple
 
 from repro.analysis.evaluation import EvaluationHarness
 from repro.analysis.report import format_table
 from repro.core.baseline import BaselinePolicy
 from repro.core.harmonia import HarmoniaPolicy
 from repro.experiments.context import ExperimentContext, default_context
-from repro.platform.hd7970 import HardwarePlatform, make_hd7970_platform
+from repro.platform.hd7970 import make_hd7970_platform
 from repro.sensitivity.binning import SensitivityBins
 from repro.sensitivity.predictor import (
     PAPER_BANDWIDTH_PREDICTOR,
@@ -60,11 +61,10 @@ class AblationResult:
 
 
 def _headline(context: ExperimentContext,
-              make_policy: Callable[[], HarmoniaPolicy],
-              platform: HardwarePlatform = None) -> Tuple[float, float, float]:
-    platform = platform or context.platform
-    harness = EvaluationHarness(platform, BaselinePolicy(platform.config_space))
-    summary = harness.evaluate(context.applications, [make_policy()])
+              make_policy: Callable[[], HarmoniaPolicy]
+              ) -> Tuple[float, float, float]:
+    harness = EvaluationHarness(context.platform, context.baseline_policy)
+    summary = harness.evaluate(context.applications, [make_policy])
     name = make_policy().name
     return (
         summary.geomean_ed2(name),
@@ -192,12 +192,12 @@ def ablate_measurement_noise(context: ExperimentContext = None) -> AblationResul
         applications = all_applications()
         training = train_predictors(platform, applications)
         harness = EvaluationHarness(
-            platform, BaselinePolicy(platform.config_space)
+            platform, partial(BaselinePolicy, platform.config_space)
         )
-        policy = HarmoniaPolicy(
-            platform.config_space, training.compute, training.bandwidth
-        )
-        summary = harness.evaluate(applications, [policy])
+        summary = harness.evaluate(applications, [partial(
+            HarmoniaPolicy,
+            platform.config_space, training.compute, training.bandwidth,
+        )])
         label = f"noise {noise:.1%}"
         if noise == 0.0:
             label += " (default)"

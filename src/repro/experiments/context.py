@@ -178,34 +178,22 @@ class ExperimentContext:
     def _evaluation_locked(self) -> EvaluationSummary:
         if self._summary is None:
             from repro.analysis.evaluation import EvaluationHarness
-            harness = EvaluationHarness(self.platform, self.baseline_policy())
-            if self._jobs > 1:
-                # Train before fanning out: the policy factories run inside
-                # worker threads, must all see the one shared report, and
-                # must find it built — this thread holds the build lock
-                # until the fan-out returns.
-                _ = self.training
-                self._summary = harness.evaluate_parallel(
-                    self.applications,
-                    baseline_factory=self.baseline_policy,
-                    policy_factories=[
-                        self.cg_only_policy,
-                        self.harmonia_policy,
-                        self.oracle_policy,
-                        self.dvfs_only_policy,
-                    ],
-                    jobs=self._jobs,
-                )
-            else:
-                self._summary = harness.evaluate(
-                    self.applications,
-                    [
-                        self.cg_only_policy(),
-                        self.harmonia_policy(),
-                        self.oracle_policy(),
-                        self.dvfs_only_policy(),
-                    ],
-                )
+            # Train before fanning out: the policy factories may run in
+            # worker threads, must all see the one shared report, and
+            # must find it built — this thread holds the build lock
+            # until the fan-out returns.
+            _ = self.training
+            harness = EvaluationHarness(self.platform, self.baseline_policy)
+            self._summary = harness.evaluate(
+                self.applications,
+                [
+                    self.cg_only_policy,
+                    self.harmonia_policy,
+                    self.oracle_policy,
+                    self.dvfs_only_policy,
+                ],
+                jobs=self._jobs,
+            )
         return self._summary
 
 

@@ -18,6 +18,7 @@ and evaluated here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Tuple
 
 from repro.analysis.evaluation import EvaluationHarness
@@ -67,12 +68,12 @@ def _evaluate_scaled():
     applications = all_applications()
     training = train_predictors(platform, applications)
     harness = EvaluationHarness(
-        platform, BaselinePolicy(platform.config_space)
+        platform, partial(BaselinePolicy, platform.config_space)
     )
-    harmonia = HarmoniaPolicy(
-        platform.config_space, training.compute, training.bandwidth
-    )
-    return harness.evaluate(applications, [harmonia])
+    return harness.evaluate(applications, [partial(
+        HarmoniaPolicy,
+        platform.config_space, training.compute, training.bandwidth,
+    )])
 
 
 def run(context: ExperimentContext = None) -> VoltageScalingResult:

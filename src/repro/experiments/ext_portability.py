@@ -17,6 +17,7 @@ the *methodology* is what ports.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from repro.analysis.evaluation import EvaluationHarness
 from repro.analysis.report import format_table
@@ -51,11 +52,13 @@ def run(context: ExperimentContext = None) -> PortabilityResult:
     platform = make_pitcairn_platform()
     applications = all_applications()
     training = train_predictors(platform, applications)
-    harness = EvaluationHarness(platform, BaselinePolicy(platform.config_space))
-    harmonia = HarmoniaPolicy(
-        platform.config_space, training.compute, training.bandwidth
+    harness = EvaluationHarness(
+        platform, partial(BaselinePolicy, platform.config_space)
     )
-    summary = harness.evaluate(applications, [harmonia])
+    summary = harness.evaluate(applications, [partial(
+        HarmoniaPolicy,
+        platform.config_space, training.compute, training.bandwidth,
+    )])
 
     return PortabilityResult(
         hd7970_ed2=hd.geomean_ed2("harmonia"),

@@ -168,12 +168,11 @@ def run_ci(context: ExperimentContext = None, seeds: int = 16,
     if it is not yet), so no reference run is computed twice.
     """
     context = context or default_context()
-    harness = EvaluationHarness(context.platform, context.baseline_policy())
+    harness = EvaluationHarness(context.platform, context.baseline_policy)
     # Building context.evaluation trains first, so every factory below
     # sees the one shared training report even when applications fan out.
     return harness.evaluate_montecarlo(
         context.applications,
-        baseline_factory=context.baseline_policy,
         policy_factories=[
             context.cg_only_policy,
             context.harmonia_policy,

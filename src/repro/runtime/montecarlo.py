@@ -11,9 +11,8 @@ re-walking every launch through Python. The launch-keyed noise model
    sequence with noise-free times and powers. ``evaluate --seeds`` hands
    in the runs of the evaluation matrix it has already printed
    (:meth:`~repro.analysis.evaluation.EvaluationHarness.evaluate_montecarlo`
-   with ``references=``); ``montecarlo`` runs them in lockstep on the
-   batched session engine; a bare :meth:`MonteCarloEngine.rollout`
-   without references runs the scalar loop;
+   with ``references=``); otherwise :meth:`MonteCarloEngine.rollout`
+   runs the missing ones in lockstep on the batched session engine;
 2. for every trial seed ``s``, perturb each scheduled launch's time with
    the keyed multiplier of platform seed ``s`` — one matrix of launch
    times over ``(seed, launch)``. All of an application's policies are
@@ -47,7 +46,7 @@ from repro.core.policy import PowerPolicy
 from repro.errors import AnalysisError
 from repro.platform.hd7970 import HardwarePlatform
 from repro.platform.noise import derive_normals, to_multipliers
-from repro.runtime.simulator import ApplicationRunner
+from repro.runtime.session import BatchSessionRunner, SessionSpec
 from repro.workloads.application import Application
 
 #: z-score of the two-sided 95% confidence interval.
@@ -254,8 +253,10 @@ class MonteCarloEngine:
                 :class:`~repro.runtime.simulator.RunResult` records of each
                 (application, policy) pair on the engine's platform —
                 an evaluation matrix's runs, or the batched session
-                engine's lockstep lanes. ``None`` (or a ``None`` entry)
-                runs the scalar reference here.
+                engine's lockstep lanes. The runs that are ``None`` (or
+                all of them, when ``references`` is ``None``) are made
+                here, by one :meth:`~repro.runtime.session.
+                BatchSessionRunner.run_sessions` call.
         """
         from repro.telemetry.spans import ambient_telemetry
         with ambient_telemetry().span(
@@ -275,16 +276,21 @@ class MonteCarloEngine:
                 f"{len(references)} reference runs for "
                 f"{len(policies)} policies"
             )
+        missing = [i for i, run in enumerate(references) if run is None]
+        if missing:
+            references = list(references)
+            runs = BatchSessionRunner(self._platform).run_sessions([
+                SessionSpec(application=application, policy=policies[i])
+                for i in missing
+            ])
+            for i, run in zip(missing, runs):
+                references[i] = run
         launches = list(application.launches())
         space = self._platform.config_space
         # Per policy: reference records and, for each (spec, iteration)
         # noise stream, the launch positions and grid indices it feeds.
         schedules = []
-        for policy, reference in zip(policies, references):
-            if reference is None:
-                reference = ApplicationRunner(self._platform).run(
-                    application, policy
-                )
+        for reference in references:
             records = reference.trace.records
             if len(launches) != len(records):
                 raise AnalysisError(

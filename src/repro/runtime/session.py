@@ -25,17 +25,15 @@ The speed comes from three structural facts:
   to the scalar loop, which stays in the tree as the differential-testing
   oracle.
 
-**Scalar fallback triggers.** A lane silently takes the scalar
-:class:`~repro.runtime.simulator.ApplicationRunner` path when batched
-stepping could not be proven equivalent: a platform that is not exactly
-:class:`~repro.platform.hd7970.HardwarePlatform` (a subclass may override
-launches, e.g. a thermal governor), a telemetry-enabled runner (the
-instrumented loop's event stream is per-run, not lockstep),
-``reset_policy=False`` (lanes would have to resume scalar-held numeric
-state), or duplicate policy *instances* across lanes of one application
-(their shared mutable history needs sequential stepping). Policies other
-than the Harmonia family still batch at the platform layer but step their
-own ``observe`` per lane.
+**Scalar fallback triggers.** A lane takes the scalar
+:class:`~repro.runtime.simulator.ApplicationRunner` path in exactly two
+cases, each an input the engine can observe: a platform that is not
+exactly :class:`~repro.platform.hd7970.HardwarePlatform` (a subclass may
+override launches, e.g. a thermal governor), or a policy *instance*
+shared by several lanes of one application (its shared mutable history
+needs sequential stepping). Policies other than the Harmonia family
+still batch at the platform layer but step their own ``observe`` per
+lane.
 """
 
 from __future__ import annotations
@@ -58,7 +56,6 @@ from repro.core.policy import LaunchContext, PowerPolicy
 from repro.platform.hd7970 import HardwarePlatform
 from repro.runtime.simulator import ApplicationRunner, RunResult, finish_run
 from repro.runtime.trace import LaunchRecord, RunTrace
-from repro.telemetry.handle import coalesce
 from repro.workloads.application import Application
 
 
@@ -121,13 +118,10 @@ class BatchSessionRunner:
 
     Args:
         platform: default test bed for lanes that don't carry their own.
-        telemetry: telemetry handle; when enabled, every lane falls back
-            to the scalar instrumented runner (see the module docstring).
     """
 
-    def __init__(self, platform: HardwarePlatform, telemetry=None):
+    def __init__(self, platform: HardwarePlatform):
         self._platform = platform
-        self._telemetry = coalesce(telemetry)
         # id(surface) -> (surface, numerics); the surface reference pins
         # the id so the cache can never alias a collected object.
         self._numerics: Dict[int, Tuple[object, SurfaceNumerics]] = {}
@@ -137,21 +131,15 @@ class BatchSessionRunner:
         """The default test bed."""
         return self._platform
 
-    def run(self, application: Application, policy: PowerPolicy,
-            reset_policy: bool = True) -> RunResult:
-        """Run a single session (one-lane convenience wrapper)."""
-        return self.run_sessions(
-            [SessionSpec(application=application, policy=policy)],
-            reset_policy=reset_policy,
-        )[0]
-
-    def run_sessions(self, sessions: Sequence[SessionSpec],
-                     reset_policy: bool = True) -> List[RunResult]:
+    def run_sessions(self,
+                     sessions: Sequence[SessionSpec]) -> List[RunResult]:
         """Run every session, batching lanes of the same application.
 
-        Results are returned in session order and are bitwise-identical
-        to ``ApplicationRunner.run`` of each lane in isolation — the
-        differential contract the equivalence suite enforces.
+        Every lane's policy is reset first, as ``ApplicationRunner.run``
+        does. Results are returned in session order and are
+        bitwise-identical to ``ApplicationRunner.run`` of each lane in
+        isolation — the differential contract the equivalence suite
+        enforces.
         """
         sessions = list(sessions)
         results: List[Optional[RunResult]] = [None] * len(sessions)
@@ -169,7 +157,7 @@ class BatchSessionRunner:
         for application in order:
             positions = grouped[id(application)]
             outcomes = self._run_application(
-                application, [sessions[p] for p in positions], reset_policy
+                application, [sessions[p] for p in positions]
             )
             for position, outcome in zip(positions, outcomes):
                 results[position] = outcome
@@ -178,18 +166,16 @@ class BatchSessionRunner:
     # --- one application's lane group ------------------------------------------
 
     def _run_application(self, application: Application,
-                         specs: Sequence[SessionSpec],
-                         reset_policy: bool) -> List[RunResult]:
+                         specs: Sequence[SessionSpec]) -> List[RunResult]:
         platforms = [spec.platform or self._platform for spec in specs]
         policies = [spec.policy for spec in specs]
 
-        batchable = self._batchable_mask(platforms, policies, reset_policy)
+        batchable = self._batchable_mask(platforms, policies)
         results: List[Optional[RunResult]] = [None] * len(specs)
         for slot, ok in enumerate(batchable):
             if not ok:
-                runner = ApplicationRunner(platforms[slot], self._telemetry)
-                results[slot] = runner.run(
-                    application, policies[slot], reset_policy=reset_policy
+                results[slot] = ApplicationRunner(platforms[slot]).run(
+                    application, policies[slot]
                 )
         lanes_slots = [slot for slot, ok in enumerate(batchable) if ok]
         if not lanes_slots:
@@ -197,8 +183,7 @@ class BatchSessionRunner:
 
         lanes = []
         for slot in lanes_slots:
-            if reset_policy:
-                policies[slot].reset()
+            policies[slot].reset()
             lanes.append(_Lane(policies[slot], platforms[slot]))
 
         steps = list(application.launches())
@@ -217,10 +202,7 @@ class BatchSessionRunner:
             results[slot] = finish_run(application, lane.policy, lane.trace)
         return results
 
-    def _batchable_mask(self, platforms, policies,
-                        reset_policy: bool) -> List[bool]:
-        if self._telemetry.enabled or not reset_policy:
-            return [False] * len(platforms)
+    def _batchable_mask(self, platforms, policies) -> List[bool]:
         instance_counts: Dict[int, int] = {}
         for policy in policies:
             key = id(policy)

@@ -12,13 +12,10 @@ next iteration", Section 5.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence
 
 from repro.core.policy import LaunchContext, PowerPolicy
-from repro.errors import AnalysisError
 from repro.platform.hd7970 import HardwarePlatform
 from repro.runtime.metrics import RunMetrics, metrics_from_launches
-from repro.runtime.parallel import fan_out
 from repro.runtime.trace import LaunchRecord, RunTrace
 from repro.telemetry.events import KernelLaunch
 from repro.telemetry.handle import coalesce
@@ -103,7 +100,7 @@ class ApplicationRunner:
             trace.append(LaunchRecord(
                 iteration=iteration, kernel_name=kernel.name, result=result
             ))
-        return self._finish(application, policy, trace)
+        return finish_run(application, policy, trace)
 
     def _run_instrumented(self, application: Application,
                           policy: PowerPolicy) -> RunResult:
@@ -140,87 +137,4 @@ class ApplicationRunner:
                 power_w=result.power.card,
                 energy_j=result.energy,
             ))
-        return self._finish(application, policy, trace)
-
-    def _finish(self, application: Application, policy: PowerPolicy,
-                trace: RunTrace) -> RunResult:
         return finish_run(application, policy, trace)
-
-    def run_matrix(
-        self,
-        applications: Sequence[Application],
-        policies: Optional[Sequence[PowerPolicy]] = None,
-        jobs: int = 1,
-        policy_factories: Optional[Sequence[Callable[[], PowerPolicy]]] = None,
-        batched: bool = True,
-    ) -> Dict[str, Dict[str, RunResult]]:
-        """Run every application under every policy, fanned out per app.
-
-        Applications are independent work items, so the matrix goes
-        through :func:`~repro.runtime.parallel.fan_out` — the same
-        serial-exact pattern as :meth:`~repro.analysis.evaluation.
-        EvaluationHarness.evaluate_parallel`. With ``jobs > 1`` pass
-        ``policy_factories`` instead of instances: stateful policies
-        (:class:`~repro.core.policy.HistoryMixin`) must not be shared
-        across concurrent applications, and a fresh instance per
-        application is equivalent to a reset one, so the results are
-        identical to the serial nested loop for any job count.
-
-        Args:
-            applications: workloads to run.
-            policies: policy instances, run serially per application
-                (mutually exclusive with ``policy_factories``).
-            jobs: maximum concurrent application runs.
-            policy_factories: zero-argument constructors of fresh policy
-                instances, one policy set per application.
-            batched: advance each application's policies in lockstep via
-                the batched session engine (:mod:`repro.runtime.session`)
-                instead of one scalar run per policy. Bitwise-identical
-                results; lanes the engine cannot prove equivalent fall
-                back to the scalar loop automatically. Set ``False`` to
-                force the scalar path (the differential-testing oracle).
-
-        Returns:
-            ``results[application_name][policy_name] -> RunResult``.
-
-        Raises:
-            AnalysisError: if neither or both of ``policies`` /
-                ``policy_factories`` are given, or if ``jobs > 1`` is
-                requested with shared policy instances.
-        """
-        if (policies is None) == (policy_factories is None):
-            raise AnalysisError(
-                "run_matrix needs exactly one of policies or policy_factories"
-            )
-        if policy_factories is None:
-            if jobs > 1:
-                raise AnalysisError(
-                    "run_matrix(jobs>1) requires policy_factories: stateful "
-                    "policies must not be shared across worker threads"
-                )
-            policy_factories = [(lambda p=p: p) for p in policies]
-
-        def run_app(application: Application) -> Dict[str, RunResult]:
-            per_app: Dict[str, RunResult] = {}
-            app_policies = [factory() for factory in policy_factories]
-            if batched:
-                from repro.runtime.session import (
-                    BatchSessionRunner, SessionSpec,
-                )
-                engine = BatchSessionRunner(self._platform, self._telemetry)
-                outcomes = engine.run_sessions([
-                    SessionSpec(application=application, policy=policy)
-                    for policy in app_policies
-                ])
-                for policy, outcome in zip(app_policies, outcomes):
-                    per_app[policy.name] = outcome
-            else:
-                for policy in app_policies:
-                    per_app[policy.name] = self.run(application, policy)
-            return per_app
-
-        outcomes = fan_out(run_app, applications, jobs=jobs)
-        return {
-            application.name: per_app
-            for application, per_app in zip(applications, outcomes)
-        }

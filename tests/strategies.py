@@ -3,6 +3,12 @@
 from hypothesis import strategies as st
 
 from repro.perf.kernelspec import KernelSpec
+from repro.workloads.application import Application
+from repro.workloads.kernel import (
+    ConstantSchedule,
+    CyclicSchedule,
+    WorkloadKernel,
+)
 
 
 @st.composite
@@ -24,4 +30,31 @@ def kernel_specs(draw):
         l2_thrash_sensitivity=draw(st.floats(min_value=0.0, max_value=0.2)),
         outstanding_per_wave=draw(st.floats(min_value=1.0, max_value=6.0)),
         access_efficiency=draw(st.floats(min_value=0.4, max_value=0.95)),
+    )
+
+
+@st.composite
+def applications(draw, max_kernels=3, max_iterations=5):
+    """Random applications of 1-``max_kernels`` generated kernels.
+
+    Each kernel keeps its spec constant or cycles its launched work
+    (a phase change the controller must notice), and the application
+    runs a few iterations.
+    """
+    specs = draw(st.lists(kernel_specs(), min_size=1, max_size=max_kernels))
+    schedules = st.one_of(
+        st.just(ConstantSchedule()),
+        st.builds(CyclicSchedule, st.tuples(
+            st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]),
+            st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]),
+        )),
+    )
+    kernels = tuple(
+        WorkloadKernel(base=spec.evolve(name=f"Gen.K{i}"),
+                       schedule=draw(schedules))
+        for i, spec in enumerate(specs)
+    )
+    return Application(
+        name="Gen", suite="generated", kernels=kernels,
+        iterations=draw(st.integers(min_value=1, max_value=max_iterations)),
     )

@@ -199,11 +199,9 @@ class TestHarness:
         def summarize(jobs):
             platform = make_hd7970_platform()
             harness = EvaluationHarness(
-                platform, BaselinePolicy(platform.config_space))
+                platform, lambda: BaselinePolicy(platform.config_space))
             return harness.evaluate_montecarlo(
                 apps,
-                baseline_factory=lambda: BaselinePolicy(
-                    platform.config_space),
                 policy_factories=[lambda: OraclePolicy(platform)],
                 seeds=SEEDS,
                 noise_std_fraction=NOISE,
@@ -232,10 +230,9 @@ class TestHarness:
     def test_summary_lookup(self, apps):
         platform = make_hd7970_platform()
         harness = EvaluationHarness(
-            platform, BaselinePolicy(platform.config_space))
+            platform, lambda: BaselinePolicy(platform.config_space))
         summary = harness.evaluate_montecarlo(
             apps,
-            baseline_factory=lambda: BaselinePolicy(platform.config_space),
             policy_factories=[lambda: OraclePolicy(platform)],
             seeds=2,
             noise_std_fraction=NOISE,
@@ -258,10 +255,9 @@ class TestEvaluationReferences:
         if jobs > 1:
             _ = context.training
         harness = EvaluationHarness(context.platform,
-                                    context.baseline_policy())
+                                    context.baseline_policy)
         return harness.evaluate_montecarlo(
             [context.application(name) for name in self.APPS],
-            baseline_factory=context.baseline_policy,
             policy_factories=[context.cg_only_policy,
                               context.harmonia_policy,
                               context.oracle_policy],

@@ -29,7 +29,6 @@ from repro.platform.noise import (
     spec_entropy,
 )
 from repro.platform.sweepcache import SweepCache
-from repro.runtime.simulator import ApplicationRunner
 from repro.workloads.registry import all_kernels, get_application
 
 SPEC = all_kernels()[0].base
@@ -285,26 +284,28 @@ class TestExecutionOrderInvariance:
         np.testing.assert_array_equal(b_after.time, b_first.time)
 
     def test_jobs_fanout_does_not_matter(self):
+        from repro.analysis.evaluation import EvaluationHarness
+        from repro.core.baseline import BaselinePolicy
+        from repro.core.oracle import OraclePolicy
+
         applications = [get_application("MaxFlops"), get_application("BPT")]
 
-        def run_matrix(jobs):
+        def evaluate(jobs):
             platform = make_hd7970_platform(noise_std_fraction=0.05, seed=9)
-            runner = ApplicationRunner(platform)
-            from repro.core.baseline import BaselinePolicy
-            return runner.run_matrix(
-                applications,
-                policy_factories=[
-                    lambda: BaselinePolicy(platform.config_space)
-                ],
-                jobs=jobs,
+            harness = EvaluationHarness(
+                platform, lambda: BaselinePolicy(platform.config_space)
+            )
+            return harness.evaluate(
+                applications, [lambda: OraclePolicy(platform)], jobs=jobs
             )
 
-        serial = run_matrix(1)
-        fanned = run_matrix(4)
-        for app in serial:
-            for policy in serial[app]:
-                a = serial[app][policy].metrics
-                b = fanned[app][policy].metrics
+        serial = evaluate(1)
+        fanned = evaluate(4)
+        assert serial.comparisons == fanned.comparisons
+        for app in serial.runs:
+            for policy in serial.runs[app]:
+                a = serial.runs[app][policy].metrics
+                b = fanned.runs[app][policy].metrics
                 assert a.time == b.time
                 assert a.energy == b.energy
 

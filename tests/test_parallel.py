@@ -165,21 +165,22 @@ def test_build_dataset_invariant_under_jobs(platform, context):
 
 
 def test_parallel_evaluation_matches_serial(context):
-    """Per-app fresh policies + fan-out == the serial shared-policy loop."""
+    """Applications fanned out over threads == the serial loop."""
     ctx = ExperimentContext(platform=context.platform)
     apps = [context.application("MaxFlops"), context.application("CoMD"),
             context.application("Sort")]
-    harness = EvaluationHarness(ctx.platform, ctx.baseline_policy())
+    harness = EvaluationHarness(ctx.platform, ctx.baseline_policy)
 
-    serial = harness.evaluate(apps, [ctx.harmonia_policy(), ctx.oracle_policy()])
-    parallel = harness.evaluate_parallel(
-        apps,
-        baseline_factory=ctx.baseline_policy,
-        policy_factories=[ctx.harmonia_policy, ctx.oracle_policy],
-        jobs=3,
-    )
+    def evaluate(jobs):
+        return harness.evaluate(
+            apps, [ctx.harmonia_policy, ctx.oracle_policy], jobs=jobs
+        )
 
-    assert len(serial.comparisons) == len(parallel.comparisons)
+    serial = evaluate(1)
+    parallel = evaluate(4)
+
+    assert len(serial.comparisons) == 2 * len(apps)
+    assert serial.comparisons == parallel.comparisons
     for s, p in zip(serial.comparisons, parallel.comparisons):
         assert (s.application, s.policy) == (p.application, p.policy)
         assert s.candidate.time == p.candidate.time

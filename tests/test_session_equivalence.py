@@ -3,21 +3,29 @@
 The batched controller engine (:mod:`repro.runtime.session`) promises
 **bitwise identity** with :class:`~repro.runtime.simulator.
 ApplicationRunner` for every policy, on clean and noisy platforms, for
-any lane composition and order. The scalar path is the oracle; every test
-here runs both and compares traces, metrics and policy end-state
-exactly — no tolerances.
+any lane composition and order, on the calibrated applications and on
+generated ones. The scalar path is the oracle; the tests run both and
+compare traces, metrics and policy end-state exactly — no tolerances.
+Policy evaluation itself must never take the scalar path
+(:class:`TestOneEngine`).
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from repro.analysis.evaluation import EvaluationHarness
 from repro.core.harmonia import HarmoniaPolicy
+from repro.experiments.context import ExperimentContext
 from repro.platform.hd7970 import HardwarePlatform, make_hd7970_platform
+from repro.runtime.montecarlo import MonteCarloEngine
 from repro.runtime.session import BatchSessionRunner, SessionSpec
 from repro.runtime.simulator import ApplicationRunner
 from repro.sensitivity.binning import SensitivityBins
 from repro.telemetry.handle import Telemetry
+from tests.strategies import applications
 
 
 def _variant_policy(context) -> HarmoniaPolicy:
@@ -108,9 +116,10 @@ class TestPolicyEquivalence:
             scalar = ApplicationRunner(platform).run(
                 app, context.harmonia_policy()
             )
-            [batched] = BatchSessionRunner(platform).run(
-                app, context.harmonia_policy()
-            ),
+            [batched] = BatchSessionRunner(platform).run_sessions(
+                [SessionSpec(application=app,
+                             policy=context.harmonia_policy())]
+            )
             _assert_runs_equal(scalar, batched)
 
 
@@ -197,32 +206,6 @@ class TestScalarFallbacks:
         _assert_runs_equal(scalar, outcomes[0])
         _assert_runs_equal(scalar, outcomes[1])
 
-    def test_reset_policy_false_goes_scalar(self, context):
-        [app] = _apps(context, ("Sort",))
-        scalar_policy = context.harmonia_policy()
-        batched_policy = context.harmonia_policy()
-        runner = ApplicationRunner(context.platform)
-        runner.run(app, scalar_policy)
-        scalar = runner.run(app, scalar_policy, reset_policy=False)
-        engine = BatchSessionRunner(context.platform)
-        engine.run(app, batched_policy)
-        [batched] = engine.run_sessions(
-            [SessionSpec(application=app, policy=batched_policy)],
-            reset_policy=False,
-        )
-        _assert_runs_equal(scalar, batched)
-
-    def test_telemetry_enabled_runner_goes_scalar(self, context):
-        [app] = _apps(context, ("Sort",))
-        scalar = ApplicationRunner(context.platform).run(
-            app, context.harmonia_policy())
-        [batched] = BatchSessionRunner(
-            context.platform, Telemetry()
-        ).run_sessions(
-            [SessionSpec(application=app, policy=context.harmonia_policy())]
-        )
-        _assert_runs_equal(scalar, batched)
-
     def test_platform_subclass_goes_scalar(self, context):
         [app] = _apps(context, ("Sort",))
 
@@ -253,56 +236,140 @@ class TestScalarFallbacks:
 
 
 class TestHarnessParity:
-    def test_run_matrix_batched_matches_scalar(self, context):
-        apps = _apps(context, ("Sort", "Graph500"))
-        runner = ApplicationRunner(context.platform)
-        scalar = runner.run_matrix(
-            apps,
-            policies=[context.harmonia_policy(), context.cg_only_policy()],
-            batched=False,
-        )
-        batched = runner.run_matrix(
-            apps,
-            policies=[context.harmonia_policy(), context.cg_only_policy()],
-            batched=True,
-        )
-        assert scalar.keys() == batched.keys()
-        for app_name, per_app in scalar.items():
-            assert per_app.keys() == batched[app_name].keys()
-            for policy_name, run in per_app.items():
-                _assert_runs_equal(run, batched[app_name][policy_name])
+    """The evaluation harness runs on the batched engine only; its results
+    must equal per-lane scalar oracle runs computed here."""
+
+    def _assert_matches_oracle(self, context, summary, apps, builders):
+        for app in apps:
+            oracle = {}
+            for build in builders:
+                run = ApplicationRunner(context.platform).run(app, build())
+                oracle[run.policy] = run
+            assert summary.runs[app.name].keys() == oracle.keys()
+            for name, run in oracle.items():
+                _assert_runs_equal(run, summary.runs[app.name][name])
+            for name, run in oracle.items():
+                if name == "baseline":
+                    continue
+                comparison = summary.comparison(app.name, name)
+                assert comparison.baseline == oracle["baseline"].metrics
+                assert comparison.candidate == run.metrics
 
     def test_evaluate_batched_matches_scalar(self, context):
-        from repro.analysis.evaluation import EvaluationHarness
         apps = _apps(context, ("Sort", "miniFE"))
-        scalar = EvaluationHarness(
-            context.platform, context.baseline_policy()
-        ).evaluate(apps, [context.harmonia_policy()], batched=False)
-        batched = EvaluationHarness(
-            context.platform, context.baseline_policy()
-        ).evaluate(apps, [context.harmonia_policy()], batched=True)
-        assert scalar.comparisons == batched.comparisons
+        summary = EvaluationHarness(
+            context.platform, context.baseline_policy
+        ).evaluate(apps, [context.harmonia_policy])
+        self._assert_matches_oracle(
+            context, summary, apps,
+            (context.baseline_policy, context.harmonia_policy),
+        )
+
+    def test_evaluate_fanned_out_matches_scalar(self, context):
+        apps = _apps(context, ("Sort", "Graph500"))
+        summary = EvaluationHarness(
+            context.platform, context.baseline_policy
+        ).evaluate(apps, [context.harmonia_policy, context.cg_only_policy],
+                   jobs=2)
+        self._assert_matches_oracle(
+            context, summary, apps,
+            (context.baseline_policy, context.harmonia_policy,
+             context.cg_only_policy),
+        )
 
     def test_evaluate_montecarlo_batched_matches_scalar(self, context):
-        import numpy as np
-        from repro.analysis.evaluation import EvaluationHarness
         apps = _apps(context, ("Sort", "Graph500"))
-        harness = EvaluationHarness(context.platform,
-                                    context.baseline_policy())
-        scalar = harness.evaluate_montecarlo(
-            apps, context.baseline_policy, [context.harmonia_policy],
-            seeds=4, batched=False,
-        )
-        batched = harness.evaluate_montecarlo(
-            apps, context.baseline_policy, [context.harmonia_policy],
-            seeds=4, batched=True,
-        )
-        for a, b in zip(scalar.comparisons, batched.comparisons):
-            assert a.application == b.application and a.policy == b.policy
-            for side in ("baseline", "candidate"):
+        summary = EvaluationHarness(
+            context.platform, context.baseline_policy
+        ).evaluate_montecarlo(apps, [context.harmonia_policy], seeds=4)
+        engine = MonteCarloEngine(context.platform, 0.05, 4)
+        for app in apps:
+            policies = [context.baseline_policy(), context.harmonia_policy()]
+            oracle_base, oracle_cand = engine.rollout(
+                app, policies,
+                references=[ApplicationRunner(context.platform).run(app, p)
+                            for p in policies],
+            )
+            comparison = summary.comparison(app.name, "harmonia")
+            for oracle, run in ((oracle_base, comparison.baseline),
+                                (oracle_cand, comparison.candidate)):
                 for field in ("time_samples", "energy_samples",
                               "avg_power_samples", "ed2_samples"):
-                    np.testing.assert_array_equal(
-                        getattr(getattr(a, side), field),
-                        getattr(getattr(b, side), field),
-                    )
+                    np.testing.assert_array_equal(getattr(oracle, field),
+                                                  getattr(run, field))
+
+
+class TestOneEngine:
+    """Policy evaluation makes no scalar ``ApplicationRunner.run`` call:
+    every lane goes through ``BatchSessionRunner``."""
+
+    @pytest.fixture
+    def scalar_runs(self, monkeypatch):
+        calls = []
+        run = ApplicationRunner.run
+
+        def counting(runner, application, policy, *args, **kwargs):
+            calls.append((application.name, policy.name))
+            return run(runner, application, policy, *args, **kwargs)
+
+        monkeypatch.setattr(ApplicationRunner, "run", counting)
+        return calls
+
+    def test_context_evaluation(self, context, scalar_runs):
+        summary = ExperimentContext(platform=context.platform,
+                                    jobs=1).evaluation
+        assert len(summary.comparisons) == 4 * len(context.applications)
+        assert scalar_runs == []
+
+    def test_run_ci(self, context, scalar_runs):
+        from repro.experiments import fig10_13_evaluation
+        fig10_13_evaluation.run_ci(context, seeds=2)
+        assert scalar_runs == []
+
+    def test_evaluate_montecarlo_without_references(self, context,
+                                                    scalar_runs):
+        apps = _apps(context, ("Sort", "MaxFlops"))
+        summary = EvaluationHarness(
+            context.platform, context.baseline_policy
+        ).evaluate_montecarlo(apps, [context.harmonia_policy,
+                                     context.oracle_policy],
+                              seeds=2, references=None)
+        assert len(summary.comparisons) == 4
+        assert scalar_runs == []
+
+    def test_bare_rollout(self, context, scalar_runs):
+        [app] = _apps(context, ("Graph500",))
+        engine = MonteCarloEngine(context.platform, 0.05, 2)
+        runs = engine.rollout(app, [context.baseline_policy(),
+                                    context.cg_only_policy(),
+                                    context.harmonia_policy()])
+        assert [run.policy for run in runs] == [
+            "baseline", "cg-only", "harmonia"]
+        assert scalar_runs == []
+
+
+class TestGeneratedApplications:
+    """Random 1-3 kernel applications: every baseline, CG-only and
+    Harmonia lane of one ``run_sessions`` call equals that lane run alone
+    through the scalar oracle, clean and on a seeded noisy platform."""
+
+    @pytest.fixture(scope="class")
+    def noisy_platform(self):
+        return make_hd7970_platform(noise_std_fraction=0.05, seed=23)
+
+    @settings(deadline=None, max_examples=20)
+    @given(app=applications())
+    def test_lanes_equal_scalar_runs(self, context, noisy_platform, app):
+        builders = (context.baseline_policy, context.cg_only_policy,
+                    context.harmonia_policy)
+        for platform in (context.platform, noisy_platform):
+            policies = [build() for build in builders]
+            outcomes = BatchSessionRunner(platform).run_sessions([
+                SessionSpec(application=app, policy=policy)
+                for policy in policies
+            ])
+            for build, policy, outcome in zip(builders, policies, outcomes):
+                scalar_policy = build()
+                scalar = ApplicationRunner(platform).run(app, scalar_policy)
+                _assert_runs_equal(scalar, outcome)
+                _assert_policy_state_equal(app, scalar_policy, policy)

@@ -12,14 +12,14 @@ p = make_hd7970_platform()
 apps = all_applications()
 report = train_predictors(p, apps)
 space = p.config_space
-harness = EvaluationHarness(p, BaselinePolicy(space))
-policies = [
-    make_cg_only_policy(space, report.compute, report.bandwidth),
-    HarmoniaPolicy(space, report.compute, report.bandwidth),
-    OraclePolicy(p),
-    ComputeDvfsOnlyPolicy(space, report.compute, report.bandwidth),
+harness = EvaluationHarness(p, lambda: BaselinePolicy(space))
+policy_factories = [
+    lambda: make_cg_only_policy(space, report.compute, report.bandwidth),
+    lambda: HarmoniaPolicy(space, report.compute, report.bandwidth),
+    lambda: OraclePolicy(p),
+    lambda: ComputeDvfsOnlyPolicy(space, report.compute, report.bandwidth),
 ]
-summary = harness.evaluate(apps, policies)
+summary = harness.evaluate(apps, policy_factories)
 print(f"{'app':14s} {'ED2cg':>7s} {'ED2hm':>7s} {'ED2or':>7s} {'prfhm':>7s} {'prfcg':>7s} {'pwrhm':>7s} {'enehm':>7s}")
 for app in apps:
     c = {pol: summary.comparison(app.name, pol) for pol in ("cg-only", "harmonia", "oracle")}
